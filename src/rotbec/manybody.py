@@ -139,17 +139,19 @@ def _lowest_eigenpair(H, residual_tol=1e-8):
         val = float(np.real(H[0, 0] if not sparse.issparse(H) else H.toarray()[0, 0]))
         return val, np.ones(1, dtype=complex), 0.0
     if dim <= 400:
-        dense = H.toarray() if sparse.issparse(H) else np.asarray(H)
-        vals, vecs = np.linalg.eigh(dense)
-        v = vecs[:, 0]
-        resid = float(np.linalg.norm(dense @ v - vals[0] * v))
-        return float(vals[0]), v, resid
-    vals, vecs = eigsh(H, k=1, which="SA", tol=1e-12, maxiter=20000)
+        vals, vecs = np.linalg.eigh(H.toarray() if sparse.issparse(H) else np.asarray(H))
+    else:
+        vals, vecs = eigsh(H, k=1, which="SA", tol=1e-12, maxiter=20000)
     v = vecs[:, 0]
-    resid = float(np.linalg.norm(H @ v - vals[0] * v))
+    return float(vals[0]), v, _checked_residual(H @ v - vals[0] * v, residual_tol)
+
+
+def _checked_residual(r, residual_tol):
+    """|r| of an eigenpair residual r = H v - lambda v, or NoConvergence above the tolerance."""
+    resid = float(np.linalg.norm(r))
     if resid > residual_tol:
         raise NoConvergence(f"ground-state residual {resid!r} above {residual_tol!r}")
-    return float(vals[0]), v, resid
+    return resid
 
 
 def reduced_density_matrix(states, vector, M, N):
@@ -188,7 +190,8 @@ def ground_state_bosonic(problem, residual_tol=1e-8):
 def ground_state_absolute(problem, cap=10_000):
     """Lowest eigenvalue of sum_i h(i) + sum_{i<j} v(ij) on the full tensor power.
 
-    No symmetry restriction: the variational space is (C^M)^(x N).
+    No symmetry restriction: the variational space is (C^M)^(x N).  Raises
+    NoConvergence when the eigenpair residual |H v - E v| exceeds 1e-8.
     """
     M, N = problem.M, problem.N
     dim = M**N
@@ -216,13 +219,14 @@ def ground_state_absolute(problem, cap=10_000):
             )
         return out.reshape(-1)
 
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=complex)
     if dim <= 256:
         dense = np.column_stack([matvec(col) for col in np.eye(dim, dtype=complex)])
-        vals = np.linalg.eigvalsh(dense)
-        return float(vals[0])
-    vals = eigsh(op, k=1, which="SA", tol=1e-12, return_eigenvectors=False,
-                 maxiter=50000)
+        vals, vecs = np.linalg.eigh(dense)
+    else:
+        op = LinearOperator((dim, dim), matvec=matvec, dtype=complex)
+        vals, vecs = eigsh(op, k=1, which="SA", tol=1e-12, maxiter=50000)
+    v = vecs[:, 0]
+    _checked_residual(matvec(v) - vals[0] * v, 1e-8)
     return float(vals[0].real)
 
 
@@ -305,16 +309,47 @@ def build_w_tensor(spec, modes, pair):
     return W
 
 
+# Energy changes below this many units of rounding times max(1, |E|) are
+# noise: they regularize the trust-region ratio, count as no progress and
+# make restarts tie.
+_ROUNDING = 1e3 * np.finfo(float).eps
+_STALL_STEPS = 10
+_CORRECTIONS = 5
+
+
 def truncated_gp_minimum(e, W_unit_g, restarts=24, seed=5, tol=1e-12, max_iter=4000):
     """min over unit vectors c of  c+ diag(e) c + (1/2) <cc|W|cc>.
 
     W_unit_g must already carry the GP coupling (delta tensor built at
-    a = g), so the quartic term equals 4 pi g int |phi_c|^4.
+    a = g), so the quartic term equals 4 pi g int |phi_c|^4; it must be
+    Hermitian with the pair-exchange symmetry, as ``build_w_tensor`` makes it.
+
+    Method: Riemannian trust-region Newton on the unit sphere of C^M
+    (Absil, Mahony & Sepulchre 2008, ch. 7) with the exact real Hessian,
+    restricted to the tangent directions orthogonal to c and to the gauge
+    direction i c, and the trust-region subproblem solved exactly through
+    ``eigh``.  Each step is followed by up to a few Newton corrections
+    transverse to it, kept while they lower the energy; they let the steps
+    follow curved valleys such as the near-degenerate rotation orbit of a
+    degenerate mode pair.  Restart 0 starts on the lowest mode, the others
+    from complex Gaussian vectors drawn from ``default_rng(seed)``.
+
+    Stopping rule: a restart converges when the residual |g - mu c| of the
+    Wirtinger gradient g = dE/dc* (mu = Re <c, g>) is at most ``tol``.  It
+    fails when it reaches ``max_iter`` steps or when ``_STALL_STEPS``
+    steps in a row lower the energy by no more than rounding.  The best
+    restart has the lowest energy; restarts within rounding of it count as
+    equal and the smallest residual among them is taken.
+
+    Raises NoConvergence, with the number of failed restarts, when the best
+    restart misses ``tol``.
     """
     e = np.asarray(e, dtype=float)
     M = e.size
+    pair_matrix = np.asarray(W_unit_g, dtype=complex).reshape(M * M, M * M)
     rng = np.random.default_rng(seed)
     best = None
+    failed = 0
     for attempt in range(restarts):
         if attempt == 0:
             c = np.zeros(M, dtype=complex)
@@ -322,42 +357,155 @@ def truncated_gp_minimum(e, W_unit_g, restarts=24, seed=5, tol=1e-12, max_iter=4
         else:
             c = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         c /= np.linalg.norm(c)
-        tau = 0.5
-        energy = _coef_energy(c, e, W_unit_g)
-        for _ in range(max_iter):
-            grad = _coef_gradient(c, e, W_unit_g)
-            mu = float(np.vdot(c, grad).real)
-            res = grad - mu * c
-            if np.linalg.norm(res) <= tol:
+        energy, resid = _sphere_trust_region(c, e, pair_matrix, tol, max_iter)
+        failed += resid > tol
+        window = _ROUNDING * max(1.0, abs(energy))
+        if (best is None or energy < best[0] - window
+                or (energy < best[0] + window and resid < best[1])):
+            best = (energy, resid)
+    if best[1] > tol:
+        raise NoConvergence(
+            f"truncated GP minimum: best restart residual {best[1]:.2e} above "
+            f"{tol:.1e}; {failed} of {restarts} restarts failed"
+        )
+    return float(best[0])
+
+
+def _gp_parts(c, e, pair_matrix):
+    """Energy, Wirtinger gradient dE/dc* and V + V^T, V[i,j] = sum_kl W_ijkl c_k c_l."""
+    M = c.size
+    pair = np.outer(c, c).reshape(-1)
+    V = (pair_matrix @ pair).reshape(M, M)
+    energy = float(e @ (c.real**2 + c.imag**2) + 0.5 * np.vdot(pair, V.reshape(-1)).real)
+    sym = V + V.T
+    return energy, e * c + 0.5 * (sym @ c.conj()), sym
+
+
+def _residual(c, grad):
+    return float(np.linalg.norm(grad - np.vdot(c, grad).real * c))
+
+
+def _tangent_model(c, e, pair_matrix, grad, sym):
+    """Riemannian gradient and Hessian in real coordinates of the horizontal space.
+
+    ``basis`` is an orthonormal basis of the complex complement of c: the
+    real coordinates (a, b) stand for basis @ (a + i b), which excludes both
+    the normal direction c and the gauge direction i c.  The second variation
+    along d is d+ A d + Re(d^T B d) - 2 mu |d|^2, with A = L+ W L + 2 diag(e)
+    for d(c x c) = L d, and B = conj(V + V^T).
+    """
+    M = c.size
+    basis = _complement_basis(c)
+    W4 = pair_matrix.reshape(M, M, M, M)
+    WL = (W4 @ c + c @ W4).reshape(M, M, M)  # (W L)[(i, j), n]
+    cc = c.conj()
+    LWL = cc @ WL + (cc @ WL.reshape(M, M * M)).reshape(M, M)
+    mu = float(np.vdot(c, grad).real)
+    A = basis.conj().T @ ((LWL + np.diag(2.0 * (e - mu))) @ basis)
+    B = basis.T @ sym.conj() @ basis
+    k = M - 1
+    H = np.empty((2 * k, 2 * k))
+    H[:k, :k] = A.real + B.real
+    H[:k, k:] = -A.imag - B.imag
+    H[k:, :k] = A.imag - B.imag
+    H[k:, k:] = A.real - B.real
+    h = basis.conj().T @ grad
+    return basis, 2.0 * np.concatenate([h.real, h.imag]), H
+
+
+def _complement_basis(v):
+    """Orthonormal columns spanning the orthogonal complement of the unit vector v.
+
+    They are the last columns of the Householder reflection that maps e_0
+    onto the line of v.
+    """
+    w = v.copy()
+    w[0] += v[0] / abs(v[0]) if v[0] != 0 else 1.0
+    reflector = np.eye(v.size) - np.outer(w, w.conj()) * (2.0 / np.vdot(w, w).real)
+    return reflector[:, 1:]
+
+
+def _tangent_vector(basis, s):
+    k = basis.shape[1]
+    return basis @ (s[:k] + 1j * s[k:])
+
+
+def _trust_step(g, H, radius):
+    """Exact minimizer of g.s + s.H.s / 2 over |s| <= radius, and whether it is interior."""
+    lam, vec = np.linalg.eigh(H)
+    gam = vec.T @ g
+    if lam[0] > 0.0:
+        s = -gam / lam
+        if s @ s <= radius * radius:
+            return vec @ s, True
+        sigma = 0.0
+    else:
+        sigma = 1e-15 * max(1.0, abs(lam).max()) - lam[0]
+    # |s(sigma)| = |gam / (lam + sigma)| falls monotonically; Newton on
+    # 1/|s| - 1/radius from the left converges without overshooting
+    for _ in range(50):
+        d = lam + sigma
+        s = -gam / d
+        n = math.sqrt(s @ s)
+        if n <= radius * (1.0 + 1e-12):
+            break
+        sigma += (n / radius - 1.0) * n * n / ((gam * gam) @ d**-3)
+    if n < radius * (1.0 - 1e-12):  # hard case: fill up along the lowest mode
+        s[0] = -math.copysign(math.sqrt(radius * radius - s[1:] @ s[1:]), gam[0])
+    return vec @ s, False
+
+
+def _transverse_newton(c, e, pair_matrix, grad, sym, direction):
+    """Newton point from c over the tangent directions orthogonal to ``direction``.
+
+    None when the Hessian there is not positive definite.
+    """
+    basis, g, H = _tangent_model(c, e, pair_matrix, grad, sym)
+    h = basis.conj().T @ direction
+    u = np.concatenate([h.real, h.imag])
+    Q = _complement_basis(u / np.linalg.norm(u))
+    lam, vec = np.linalg.eigh(Q.T @ H @ Q)
+    if lam[0] <= 0.0:
+        return None
+    out = c + _tangent_vector(basis, -Q @ (vec @ ((vec.T @ (Q.T @ g)) / lam)))
+    return out / np.linalg.norm(out)
+
+
+def _sphere_trust_region(c, e, pair_matrix, tol, max_iter):
+    """One restart from the unit vector c: final energy and residual."""
+    radius = math.pi / 16
+    energy, grad, sym = _gp_parts(c, e, pair_matrix)
+    mark, stalled = energy, 0
+    for _ in range(max_iter):
+        if stalled == _STALL_STEPS or _residual(c, grad) <= tol:
+            break
+        basis, g, H = _tangent_model(c, e, pair_matrix, grad, sym)
+        s, interior = _trust_step(g, H, radius)
+        predicted = -(g @ s + 0.5 * (s @ H @ s))
+        move = _tangent_vector(basis, s)
+        cand = (c + move) / np.linalg.norm(c + move)
+        trial = _gp_parts(cand, e, pair_matrix)
+        for _ in range(_CORRECTIONS):
+            fixed = _transverse_newton(cand, e, pair_matrix, trial[1], trial[2], move)
+            if fixed is None:
                 break
-            stepped = False
-            while tau > 1e-18:
-                cand = c - tau * res
-                cand /= np.linalg.norm(cand)
-                cand_energy = _coef_energy(cand, e, W_unit_g)
-                if cand_energy <= energy:
-                    c, energy = cand, cand_energy
-                    tau *= 1.3
-                    stepped = True
-                    break
-                tau *= 0.5
-            if not stepped:
+            fixed_trial = _gp_parts(fixed, e, pair_matrix)
+            if fixed_trial[0] >= trial[0]:
                 break
-        if best is None or energy < best:
-            best = energy
-    return float(best)
-
-
-def _coef_energy(c, e, W):
-    quart = 0.5 * np.einsum("i,j,k,l,ijkl->", np.conj(c), np.conj(c), c, c, W)
-    return float((np.dot(e, np.abs(c) ** 2) + quart).real)
-
-
-def _coef_gradient(c, e, W):
-    cc = np.conj(c)
-    t1 = 0.5 * np.einsum("j,k,l,pjkl->p", cc, c, c, W)
-    t2 = 0.5 * np.einsum("i,k,l,ipkl->p", cc, c, c, W)
-    return e * c + t1 + t2
+            cand, trial = fixed, fixed_trial
+        noise = _ROUNDING * max(1.0, abs(energy))
+        ratio = (energy - trial[0] + noise) / (predicted + noise)
+        if ratio < 0.25:
+            radius *= 0.25
+        elif ratio > 0.75 and not interior:
+            radius = min(2.0 * radius, math.pi / 2)
+        if ratio > 0.1:
+            c, (energy, grad, sym) = cand, trial
+        if energy < mark - noise:
+            mark, stalled = energy, 0
+        else:
+            stalled += 1
+    return energy, _residual(c, grad)
 
 
 @dataclass

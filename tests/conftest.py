@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rotbec import (
     Grid,
@@ -36,6 +37,11 @@ def band_limited_field(grid, rng, kcut=0.4):
     from scipy.fft import ifftn
 
     return ifftn(spec * mask)
+
+
+# property tests draw the same examples on every run
+settings.register_profile("rotbec", derandomize=True, database=None, deadline=None)
+settings.load_profile("rotbec")
 
 
 SWEEP_GRID = Grid((9.0, 9.0), (96, 96))

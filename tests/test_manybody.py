@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotbec.errors import DimensionTooLarge, InvalidState
+from rotbec.errors import DimensionTooLarge, InvalidState, NoConvergence
 from rotbec.lattice import Field, Grid, normalized
 from rotbec.manybody import (
     DeltaPair,
     FockProblem,
+    _gp_parts,
+    _lowest_eigenpair,
+    _tangent_model,
+    _tangent_vector,
     annihilation_matrix,
     basis_dimension,
     build_w_tensor,
@@ -92,6 +98,12 @@ def test_small_sector_matches_dense_oracle():
     assert np.abs(dense - dense.conj().T).max() < 1e-12
     vals = np.linalg.eigvalsh(dense)
     assert abs(result.E0 - vals[0]) < 1e-10
+
+
+def test_dense_eigenpair_residual_is_checked():
+    # eigh reads one triangle only, so a non-Hermitian input leaves a residual
+    with pytest.raises(NoConvergence):
+        _lowest_eigenpair(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
 def test_gamma1_invariants():
@@ -202,6 +214,75 @@ def test_truncated_gp_minimum_zero_coupling():
     e = [2.0, 4.0, 4.0]
     W = np.zeros((3,) * 4)
     assert abs(truncated_gp_minimum(e, W) - 2.0) < 1e-12
+
+
+def test_truncated_gp_minimum_two_mode_grid_reference():
+    # c = (cos t/2, e^{ip} sin t/2) covers the unit sphere of C^2 up to the gauge
+    e = np.array([0.3, 0.9])
+    W = random_tensor(2, 3)
+    t, p = np.meshgrid(np.linspace(0.0, np.pi, 401),
+                       np.linspace(0.0, 2.0 * np.pi, 800, endpoint=False), indexing="ij")
+    c = np.stack([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)], axis=-1)
+    pairs = (c[..., :, None] * c[..., None, :]).reshape(t.shape + (4,))
+    quartic = np.einsum("...a,ab,...b->...", pairs.conj(), W.reshape(4, 4), pairs).real
+    grid = np.abs(c) ** 2 @ e + 0.5 * quartic
+    resolution = max(np.abs(np.diff(grid, axis=0)).max(),
+                     np.abs(grid - np.roll(grid, 1, axis=1)).max())
+    got = truncated_gp_minimum(e, W)
+    assert got <= grid.min() + 1e-12
+    assert grid.min() - got <= resolution
+
+
+def test_sphere_model_matches_finite_differences():
+    # c + t d, normalized, is a second-order retraction, so the first two
+    # t-derivatives of the energy along it are the model's g.s and s.H.s
+    M = 3
+    e = np.array([0.2, 0.8, 1.1])
+    W = random_tensor(M, 5)
+    pair_matrix = W.reshape(M * M, M * M)
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    c /= np.linalg.norm(c)
+    _, grad, sym = _gp_parts(c, e, pair_matrix)
+    basis, g, H = _tangent_model(c, e, pair_matrix, grad, sym)
+    s = rng.standard_normal(2 * (M - 1))
+    move = _tangent_vector(basis, s)
+
+    def along(t):
+        x = c + t * move
+        return _gp_parts(x / np.linalg.norm(x), e, pair_matrix)[0]
+
+    h = 1e-4
+    first = (along(h) - along(-h)) / (2 * h)
+    second = (along(h) - 2 * along(0.0) + along(-h)) / h**2
+    assert abs(first - g @ s) < 1e-6 * max(1.0, abs(g @ s))
+    assert abs(second - s @ H @ s) < 1e-5 * max(1.0, abs(s @ H @ s))
+
+
+def test_truncated_gp_minimum_reports_failed_restarts():
+    with pytest.raises(NoConvergence, match=r"24 of 24 restarts failed"):
+        truncated_gp_minimum([0.2, 0.8, 1.1], random_tensor(3, 2), max_iter=1)
+
+
+@settings(max_examples=12)
+@given(st.sampled_from([2, 3, 4]).flatmap(lambda M: st.tuples(
+    st.just(M),
+    st.integers(0, 2**16),
+    st.permutations(range(M)),
+    st.lists(st.floats(0.0, 2.0 * math.pi), min_size=M, max_size=M),
+)))
+def test_truncated_gp_minimum_mode_symmetries(case):
+    M, seed, order, angles = case
+    e = 0.5 + np.arange(M)
+    W = random_tensor(M, seed, scale=0.02)
+    base = truncated_gp_minimum(e, W)
+    p = np.array(order)
+    permuted = truncated_gp_minimum(e[p], W[np.ix_(p, p, p, p)])
+    u = np.exp(1j * np.array(angles))
+    # W_ijkl -> W_ijkl exp(i(theta_k + theta_l - theta_i - theta_j))
+    rephased = truncated_gp_minimum(e, W * np.einsum("i,j,k,l->ijkl", u.conj(), u.conj(), u, u))
+    assert abs(permuted - base) <= 1e-12
+    assert abs(rephased - base) <= 1e-12
 
 
 def test_scan_trend_and_condensation(modes3):
