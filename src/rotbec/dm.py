@@ -8,19 +8,19 @@ functional.
 
 The minimizer works in the square-root parameterization
 gamma = sum_i |chi_i><chi_i| with one global constraint sum_i |chi_i|^2 = 1:
-orthonormality and simplex constraints disappear, the energy becomes a
-GP-like functional of the stacked fields, and the same trust-region engine
-that minimizes the GP functional applies unchanged.  Weights and
-orthonormal orbitals are recovered from the Gram spectrum of the stack,
-followed by one exact weight update (the convex quadratic over the simplex,
-solved by projected gradient), which can only lower the energy.
+orthonormality and simplex constraints disappear, and the energy becomes
+the GP functional of the (n,) + grid stack with rho = sum_i |chi_i|^2.
+So the one engine ``gp._Flow``, which sees a GP field as the stack without
+a leading axis, minimizes it unchanged.  Weights and orthonormal orbitals
+are recovered from the Gram spectrum of the stack, followed by one exact
+weight update (the convex quadratic over the simplex, solved by projected
+gradient), which can only lower the energy.
 """
 
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import fft as _fft
 
 from .errors import InvalidState, NoConvergence
 from .gp import _Flow, gaussian_envelope, vortex_seed
@@ -80,16 +80,25 @@ class DMResult:
 def dm_energy(spec, state):
     """Energy of a rank-n density-matrix state (validates the state)."""
     state.validate()
-    action = H0Action(spec)
-    dV = spec.grid.cell_volume
-    total = 0.0
-    rho = np.zeros(spec.grid.shape)
-    for lam, phi in zip(state.weights, state.orbitals):
-        hphi = action.apply(phi.values)
-        total += lam * float(np.vdot(phi.values, hphi).real) * dV
-        rho += lam * (phi.values.real**2 + phi.values.imag**2)
-    total += 4.0 * math.pi * spec.g * float(np.sum(rho * rho)) * dV
-    return total
+    block = np.stack([phi.values for phi in state.orbitals])
+    h, gmat = _orbital_terms(H0Action(spec), spec.g, block)
+    lam = state.weights
+    return float(lam @ h + lam @ gmat @ lam)
+
+
+def _orbital_terms(action, g, block):
+    """Orbital energies <phi_i|H0|phi_i> and the interaction matrix.
+
+    The energy of weights lam on the orthonormal stack ``block`` is
+    lam.h + lam^T G lam with G_ij = 4 pi g int |phi_i|^2 |phi_j|^2.
+    """
+    n = block.shape[0]
+    dV = action.grid.cell_volume
+    h0block = action.apply_block(block)
+    h = np.array([float(np.vdot(block[i], h0block[i]).real) * dV for i in range(n)])
+    dens = (block.real**2 + block.imag**2).reshape(n, -1)
+    gmat = (4.0 * math.pi * g * dV) * (dens @ dens.T)
+    return h, gmat
 
 
 def project_simplex(v):
@@ -102,7 +111,11 @@ def project_simplex(v):
 
 
 def minimize_weights(h, G, lam0, tol=1e-10, max_iter=200000):
-    """Minimize h.lam + lam^T G lam over the simplex by projected gradient."""
+    """Minimize h.lam + lam^T G lam over the simplex by projected gradient.
+
+    Raises NoConvergence when a step still moves the weights by more than
+    ``tol`` after ``max_iter`` steps.
+    """
     L = 2.0 * float(np.linalg.norm(G, 2)) + 1e-12 * (1.0 + float(np.linalg.norm(h)))
     step = 1.0 / L
     lam = project_simplex(np.asarray(lam0, dtype=float))
@@ -112,31 +125,10 @@ def minimize_weights(h, G, lam0, tol=1e-10, max_iter=200000):
         if float(np.linalg.norm(new - lam)) <= tol:
             return new
         lam = new
-    return lam
-
-
-class _StackFlow(_Flow):
-    """Trust-region flow over n stacked fields with one shared norm."""
-
-    def __init__(self, spec, n):
-        super().__init__(spec)
-        self.n = n
-        self._axes = tuple(range(1, spec.grid.dim + 1))
-
-    def _apply_h(self, a, spectrum=None):
-        return self.action.apply_block(a, spectrum)
-
-    def _forward(self, a):
-        return _fft.fftn(a, axes=self._axes, workers=-1)
-
-    def _inverse(self, a):
-        return _fft.ifftn(a, axes=self._axes, workers=-1)
-
-    def _density(self, psi):
-        return np.sum(psi.real**2 + psi.imag**2, axis=0)
-
-    def _density_rate(self, psi, d):
-        return 2.0 * np.sum((np.conj(psi) * d).real, axis=0)
+    raise NoConvergence(
+        f"simplex weights moved more than {tol!r} at step {max_iter}",
+        iterations=max_iter,
+    )
 
 
 def _orthonormal_rows(rows, dV, grid, drop_tol=1e-8, rng=None):
@@ -214,9 +206,7 @@ def minimize_dm(spec, n, tol=1e-7, max_iter=40000, restarts=2, seed=0,
     """
     if not 1 <= n <= 8:
         raise InvalidState(f"rank must be between 1 and 8, got {n}")
-    flow = _StackFlow(spec, n)
-    action = H0Action(spec)
-    dV = spec.grid.cell_volume
+    flow = _Flow(spec)
     best = None
     attempted = 0
     total_iters = 0
@@ -230,10 +220,7 @@ def minimize_dm(spec, n, tol=1e-7, max_iter=40000, restarts=2, seed=0,
             continue
         lam, block = _extract_state(spec, stack)
         # exact weight update with orbitals fixed; never increases energy
-        h0block = action.apply_block(block)
-        h = np.array([float(np.vdot(block[i], h0block[i]).real) * dV for i in range(n)])
-        dens = block.real**2 + block.imag**2
-        gmat = (4.0 * math.pi * spec.g * dV) * (dens.reshape(n, -1) @ dens.reshape(n, -1).T)
+        h, gmat = _orbital_terms(flow.action, spec.g, block)
         energy_before = float(lam @ h + lam @ gmat @ lam)
         lam2 = minimize_weights(h, gmat, lam)
         energy = float(lam2 @ h + lam2 @ gmat @ lam2)

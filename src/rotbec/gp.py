@@ -59,27 +59,10 @@ def _require_normalized(phi):
 def gp_energy(spec, phi):
     """Term-by-term energy of a unit-norm field."""
     _require_normalized(phi)
-    action = H0Action(spec)
-    spectrum = fftn(phi.values)
-    kinetic, potential, rotational = action.energy_parts(phi.values, spectrum)
-    if action.rot_coeffs is not None:
-        # the rotational expectation must be real for the Hermitian operator
-        imag = _rotational_imag(action, phi.values, spectrum)
-        if abs(imag) > 1e-10:
-            raise ValueError(f"rotational term has imaginary part {imag!r}")
+    kinetic, potential, rotational = H0Action(spec).energy_parts(phi.values)
     dens = phi.values.real**2 + phi.values.imag**2
     interaction = 4.0 * math.pi * spec.g * float(np.sum(dens**2)) * spec.grid.cell_volume
     return GPBreakdown(kinetic, potential, rotational, interaction)
-
-
-def _rotational_imag(action, values, spectrum):
-    acc = 0.0
-    for axis, coeff in enumerate(action.rot_coeffs):
-        if coeff is None:
-            continue
-        dphi = ifftn(action.ik[axis] * spectrum)
-        acc += float(np.sum(coeff * (np.conj(values) * dphi).real))
-    return acc * action.grid.cell_volume
 
 
 def gp_gradient(spec, phi):
@@ -112,42 +95,36 @@ class _State:
 class _Flow:
     """Array-level descent state for one model spec.
 
-    The same trust-region engine also drives the rank-n density-matrix
-    minimizer: the hooks below (transform, operator, density) are the only
-    places that know whether the state is a single field or a stack of
-    them sharing one global norm constraint.
+    One trust-region engine minimizes both functionals.  It works on arrays
+    whose trailing ``grid.dim`` axes are the grid: a GP field has no
+    leading axis, and a rank-n density-matrix state is an (n,) + grid
+    stack of fields sharing one global norm constraint.  H0 and the
+    transforms act row by row on a stack; only the density and its rate
+    sum over the leading axis, and only when there is one.
     """
 
     def __init__(self, spec):
-        self.spec = spec
         self.action = H0Action(spec)
-        self.grid = spec.grid
+        self.dim = spec.grid.dim
         self.dV = spec.grid.cell_volume
         self.coeff = 8.0 * math.pi * spec.g
         self.k2 = spec.grid.k2_mesh
 
-    def _apply_h(self, a, spectrum=None):
-        return self.action.apply(a, spectrum)
-
-    def _forward(self, a):
-        return fftn(a)
-
-    def _inverse(self, a):
-        return ifftn(a)
+    def _rowsum(self, a):
+        return a.sum(axis=0) if a.ndim > self.dim else a
 
     def _density(self, psi):
-        return psi.real**2 + psi.imag**2
+        return self._rowsum(psi.real**2 + psi.imag**2)
 
     def _density_rate(self, psi, d):
-        return 2.0 * (np.conj(psi) * d).real
+        return 2.0 * self._rowsum((np.conj(psi) * d).real)
 
     def normalize(self, psi):
         return psi / (np.linalg.norm(psi) * math.sqrt(self.dV))
 
     def evaluate(self, psi):
         """Energy, chemical potential and sphere residual of a unit-norm array."""
-        spectrum = self._forward(psi)
-        hpsi = self._apply_h(psi, spectrum)
+        hpsi = self.action.apply(psi)
         dens = self._density(psi)
         e_h0 = float(np.vdot(psi, hpsi).real) * self.dV
         e_int = 0.5 * self.coeff * float(np.sum(dens * dens)) * self.dV
@@ -158,17 +135,15 @@ class _Flow:
         return _State(psi, e_h0 + e_int, e_h0, mu, dens, res, resnorm)
 
     def precondition(self, res, mu):
-        return self._inverse(self._forward(res) / (max(1.0, abs(mu)) + self.k2))
+        return ifftn(fftn(res, self.dim) / (max(1.0, abs(mu)) + self.k2), self.dim)
 
-    def hessian_apply(self, st, d, hd=None):
+    def hessian_apply(self, st, d):
         """Second-variation operator of the energy at st (tangent-projected).
 
         Real-linear: it couples d and conj(d) through the interaction, so
         all Krylov loops below run in the real inner product Re<.,.>.
         """
-        if hd is None:
-            hd = self._apply_h(d)
-        out = hd - st.mu * d
+        out = self.action.apply(d) - st.mu * d
         if self.coeff:
             out = out + self.coeff * (st.dens * d + self._density_rate(st.psi, d) * st.psi)
         out = out - st.psi * (np.vdot(st.psi, out) * self.dV)

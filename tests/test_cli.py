@@ -135,15 +135,20 @@ def test_sweep_parallel_workers_env(tmp_path):
         sweep={"parameter": "g", "values": [0.0, 2.0]},
         dm={"rank": 2},
     )
+    csv = tmp_path / "out" / "sweep.csv"
+    assert main(["sweep", "--config", str(path), "--workers", "1"]) == 0
+    serial = csv.read_bytes()
+    csv.unlink()
     proc = subprocess.run(
         [sys.executable, "-m", "rotbec.cli", "sweep", "--config", str(path)],
         capture_output=True, text=True,
         env={**os.environ, "ROTBEC_WORKERS": "2"},
     )
     assert proc.returncode == 0, proc.stderr
-    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    lines = csv.read_text().splitlines()
     assert len(lines) == 4  # stamp + header + two rows
     assert lines[2].split(",")[0] == "0"
+    assert csv.read_bytes() == serial
 
 
 def test_fock_csv(tmp_path):

@@ -8,7 +8,7 @@ from rotbec.dm import (
     minimize_weights,
     project_simplex,
 )
-from rotbec.errors import InvalidState
+from rotbec.errors import InvalidState, NoConvergence
 from rotbec.gp import gp_energy, minimize_gp
 from rotbec.lattice import Field, Grid, inner, normalized
 from rotbec.model import HarmonicTrap, ModelSpec, RotationSpec, lowest_eigenpairs
@@ -65,6 +65,17 @@ def test_weight_update_linear_case_picks_vertex():
     h = np.array([0.7, 0.2, 1.5])
     lam = minimize_weights(h, np.zeros((3, 3)), np.full(3, 1 / 3))
     assert np.allclose(lam, [0.0, 1.0, 0.0], atol=1e-10)
+
+
+def test_minimize_weights_raises_when_unconverged():
+    # interior optimum (3/4, 1/4): one projected-gradient step cannot certify it
+    h = np.zeros(2)
+    G = np.diag([1.0, 3.0])
+    with pytest.raises(NoConvergence) as info:
+        minimize_weights(h, G, np.array([1.0, 0.0]), max_iter=1)
+    assert info.value.iterations == 1
+    lam = minimize_weights(h, G, np.array([1.0, 0.0]))
+    assert np.allclose(lam, [0.75, 0.25], atol=1e-9)
 
 
 def test_dmstate_validation():

@@ -104,6 +104,21 @@ def test_gradient_finite_difference():
     assert failures == 0
 
 
+def test_flow_on_one_row_stack_equals_field_flow():
+    # GP is the unstacked case of the DM engine: a (1,) + grid stack must
+    # take exactly the same trust-region path as the bare field
+    grid = Grid((7.0, 7.0), (32, 32))
+    spec = harmonic_spec(g=10.0, omega=0.6, grid=grid)
+    psi0 = noise_field(grid, np.random.default_rng(8))
+    field, res_f, iters_f, ok_f = _Flow(spec).descend(psi0, 1e-8, 3000)
+    stack, res_s, iters_s, ok_s = _Flow(spec).descend(psi0[None], 1e-8, 3000)
+    assert ok_f and ok_s == ok_f
+    assert iters_s == iters_f
+    assert res_s == res_f
+    assert stack.shape == (1,) + grid.shape
+    assert np.array_equal(stack[0], field)
+
+
 def test_chemical_potential_oscillator():
     grid = Grid((8.0,) * 3, (48,) * 3)
     spec = harmonic_spec(grid=grid)

@@ -139,6 +139,48 @@ def test_h0_hermitian():
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
+@pytest.mark.parametrize("grid", [GRID2, Grid((5.0,) * 3, (16,) * 3)])
+def test_h0_stack_apply_equals_row_apply(grid):
+    rng = np.random.default_rng(9)
+    spec = ModelSpec(grid, HarmonicTrap((1.0,) * grid.dim), RotationSpec(0.7), 0.0)
+    action = H0Action(spec)
+    stack = np.stack([noise_field(grid, rng) for _ in range(3)])
+    out = action.apply(stack)
+    assert out.shape == stack.shape
+    for row, want in zip(out, stack):
+        assert np.array_equal(row, action.apply(want))
+    assert np.array_equal(action.apply_block(stack), out)
+
+
+def test_every_transform_uses_the_lattice_thread_setting(monkeypatch):
+    import scipy.fft
+
+    import rotbec.lattice
+    from rotbec.dm import minimize_dm
+
+    seen = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            seen.append(kwargs.get("workers"))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rotbec.lattice, "_FFT_WORKERS", 1)
+    monkeypatch.setattr(scipy.fft, "fftn", recording(scipy.fft.fftn))
+    monkeypatch.setattr(scipy.fft, "ifftn", recording(scipy.fft.ifftn))
+    grid = Grid((7.0, 7.0), (32, 32))
+    spec = ModelSpec(grid, HarmonicTrap((1.0, 1.0)), RotationSpec(0.5), 2.0)
+    rng = np.random.default_rng(10)
+    action = H0Action(spec)
+    action.apply(noise_field(grid, rng))
+    action.apply(np.stack([noise_field(grid, rng) for _ in range(2)]))
+    lowest_eigenpairs(spec, 2)
+    minimize_dm(spec, 2, tol=1e-6, max_iter=3000, restarts=0, seed=1)
+    assert len(seen) > 100
+    assert set(seen) == {1}
+
+
 def test_magnetic_form_identity():
     # -Delta - Omega.L = (-i grad - Omega^x/2)^2 - |Omega^x|^2/4 on the
     # grid interior (coordinate sawtooth pollutes the boundary shell)
