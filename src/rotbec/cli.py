@@ -96,8 +96,11 @@ def load_config(path):
         if kind not in _POTENTIAL_KEYS:
             raise ConfigError(f"unknown potential kind {kind!r}")
         _check_keys(pot, _POTENTIAL_KEYS[kind], "scatter.potential")
+    # outputs decides where files go and which are written, never their
+    # contents, so it stays out of the hash
+    hashed = {k: v for k, v in cfg.items() if k != "outputs"}
     digest = hashlib.sha256(
-        json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+        json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
     return cfg, digest
 

@@ -22,6 +22,9 @@ from .lattice import fftn, ifftn
 from .scatter import GaussianBump, scale_potential, scattering_length
 
 _BASIS_CAP = 100_000
+_PRODUCT_CAP = 10_000  # largest M^N for the unrestricted ground state
+_DENSE_MAX = 400  # largest eigenproblem solved densely
+_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,14 +89,34 @@ def occupation_basis(M, N):
 
 
 def _index_table(states, M, N):
-    """Dense lookup from encoded occupation keys to basis indices."""
+    """Lookup from encoded occupation keys to basis indices: (table, powers, occ, keys)."""
     base = N + 1
     table = -np.ones(base**M, dtype=np.int64)
     powers = base ** np.arange(M)
     occ = np.asarray(states, dtype=np.int64)
     keys = occ @ powers
     table[keys] = np.arange(len(states))
-    return table, powers, occ
+    return table, powers, occ, keys
+
+
+def _ladder(index, create, annihilate):
+    """Source rows, destination rows and amplitudes of a normal-ordered string.
+
+    The string is a+_c1 a+_c2 ... a_a1 a_a2 ... for create = (c1, c2, ...)
+    and annihilate = (a1, a2, ...); ``index`` is ``_index_table``'s
+    output.  The operators act right to left, so the squared amplitude
+    multiplies the occupation factors in that order; rows whose amplitude
+    vanishes are dropped.
+    """
+    table, powers, occ, keys = index
+    shift = np.zeros(occ.shape[1], dtype=np.int64)
+    amp2 = 1.0
+    steps = [(m, -1) for m in reversed(annihilate)] + [(m, 1) for m in reversed(create)]
+    for mode, step in steps:  # factor n to annihilate, n + 1 to create
+        amp2 = amp2 * (occ[:, mode] + shift[mode] + (step > 0))
+        shift[mode] += step
+    src = np.nonzero(amp2 > 0.0)[0]
+    return src, table[keys[src] + shift @ powers], np.sqrt(amp2[src])
 
 
 def assemble_hamiltonian(problem):
@@ -101,31 +124,20 @@ def assemble_hamiltonian(problem):
     M, N = problem.M, problem.N
     states = occupation_basis(M, N)
     dim = len(states)
-    table, powers, occ = _index_table(states, M, N)
-    e = np.asarray(problem.e)
-    diag = occ @ e
+    index = _index_table(states, M, N)
+    occ = index[2]
     rows = [np.arange(dim)]
     cols = [np.arange(dim)]
-    vals = [diag.astype(complex)]
+    vals = [(occ @ np.asarray(problem.e)).astype(complex)]
     W = problem.W
     for i, j, k, l in itertools.product(range(M), repeat=4):
         w = W[i, j, k, l]
         if w == 0.0:
             continue
-        nl = occ[:, l].astype(float)
-        nk = occ[:, k] - (1.0 if k == l else 0.0)
-        nj = occ[:, j] - (k == j) - (l == j) + 1.0
-        ni = occ[:, i] - (k == i) - (l == i) + (i == j) + 1.0
-        amp2 = nl * nk * nj * ni
-        src = np.nonzero(amp2 > 0.0)[0]
-        if src.size == 0:
-            continue
-        key_shift = powers[i] + powers[j] - powers[k] - powers[l]
-        keys = (occ[src] @ powers) + key_shift
-        dst = table[keys]
+        src, dst, amp = _ladder(index, (i, j), (k, l))
         rows.append(dst)
         cols.append(src)
-        vals.append(0.5 * w * np.sqrt(amp2[src]))
+        vals.append(0.5 * w * amp)
     H = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
@@ -133,50 +145,42 @@ def assemble_hamiltonian(problem):
     return H, states
 
 
-def _lowest_eigenpair(H, residual_tol=1e-8):
+def _lowest_eigenpair(H):
+    """Lowest eigenvalue, its unit vector and the residual |H v - E v| of a Hermitian H.
+
+    H is a sparse matrix, an array or a LinearOperator.  Up to ``_DENSE_MAX``
+    rows it is made dense and solved with ``eigh``; above, ``eigsh`` starts
+    from a fixed random vector, so one H always gives one answer.  Raises
+    NoConvergence when the residual exceeds ``_RESIDUAL_TOL``.
+    """
     dim = H.shape[0]
-    if dim == 1:
-        val = float(np.real(H[0, 0] if not sparse.issparse(H) else H.toarray()[0, 0]))
-        return val, np.ones(1, dtype=complex), 0.0
-    if dim <= 400:
-        vals, vecs = np.linalg.eigh(H.toarray() if sparse.issparse(H) else np.asarray(H))
+    if dim <= _DENSE_MAX:
+        vals, vecs = np.linalg.eigh(H @ np.eye(dim, dtype=complex))
     else:
-        vals, vecs = eigsh(H, k=1, which="SA", tol=1e-12, maxiter=20000)
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        vals, vecs = eigsh(H, k=1, which="SA", tol=1e-12, maxiter=50000, v0=v0)
     v = vecs[:, 0]
-    return float(vals[0]), v, _checked_residual(H @ v - vals[0] * v, residual_tol)
-
-
-def _checked_residual(r, residual_tol):
-    """|r| of an eigenpair residual r = H v - lambda v, or NoConvergence above the tolerance."""
-    resid = float(np.linalg.norm(r))
-    if resid > residual_tol:
-        raise NoConvergence(f"ground-state residual {resid!r} above {residual_tol!r}")
-    return resid
+    resid = float(np.linalg.norm(H @ v - vals[0] * v))
+    if resid > _RESIDUAL_TOL:
+        raise NoConvergence(f"ground-state residual {resid!r} above {_RESIDUAL_TOL!r}")
+    return float(vals[0]), v, resid
 
 
 def reduced_density_matrix(states, vector, M, N):
     """gamma1[j, k] = <a+_k a_j> of the state in the occupation basis."""
-    table, powers, occ = _index_table(states, M, N)
+    index = _index_table(states, M, N)
     gamma = np.zeros((M, M), dtype=complex)
-    prob = np.abs(vector) ** 2
-    for j in range(M):
-        gamma[j, j] = float(prob @ occ[:, j])
-        for k in range(M):
-            if k == j:
-                continue
-            # <psi| a+_k a_j |psi>: annihilate from mode j, create in mode k
-            src = np.nonzero(occ[:, j] > 0)[0]
-            amp = np.sqrt(occ[src, j].astype(float) * (occ[src, k] + 1.0))
-            keys = (occ[src] @ powers) - powers[j] + powers[k]
-            dst = table[keys]
-            gamma[j, k] = np.sum(np.conj(vector[dst]) * amp * vector[src])
+    for j, k in itertools.product(range(M), repeat=2):
+        src, dst, amp = _ladder(index, (k,), (j,))
+        gamma[j, k] = np.sum(np.conj(vector[dst]) * amp * vector[src])
     return gamma
 
 
-def ground_state_bosonic(problem, residual_tol=1e-8):
+def ground_state_bosonic(problem):
     """Exact N-boson ground state of the truncated Hamiltonian."""
     H, states = assemble_hamiltonian(problem)
-    energy, vector, resid = _lowest_eigenpair(H, residual_tol)
+    energy, vector, resid = _lowest_eigenpair(H)
     gamma = reduced_density_matrix(states, vector, problem.M, problem.N)
     evals = np.linalg.eigvalsh(gamma)
     return FockResult(
@@ -187,16 +191,17 @@ def ground_state_bosonic(problem, residual_tol=1e-8):
     )
 
 
-def ground_state_absolute(problem, cap=10_000):
+def ground_state_absolute(problem):
     """Lowest eigenvalue of sum_i h(i) + sum_{i<j} v(ij) on the full tensor power.
 
-    No symmetry restriction: the variational space is (C^M)^(x N).  Raises
-    NoConvergence when the eigenpair residual |H v - E v| exceeds 1e-8.
+    No symmetry restriction: the variational space is (C^M)^(x N), at most
+    ``_PRODUCT_CAP`` states.  Raises NoConvergence when the eigenpair
+    residual |H v - E v| exceeds ``_RESIDUAL_TOL``.
     """
     M, N = problem.M, problem.N
     dim = M**N
-    if dim > cap:
-        raise DimensionTooLarge(f"M^N = {dim} exceeds {cap}")
+    if dim > _PRODUCT_CAP:
+        raise DimensionTooLarge(f"M^N = {dim} exceeds {_PRODUCT_CAP}")
     e = np.asarray(problem.e)
     V = problem.W.reshape(M * M, M * M)
     pairs = list(itertools.combinations(range(N), 2))
@@ -219,15 +224,7 @@ def ground_state_absolute(problem, cap=10_000):
             )
         return out.reshape(-1)
 
-    if dim <= 256:
-        dense = np.column_stack([matvec(col) for col in np.eye(dim, dtype=complex)])
-        vals, vecs = np.linalg.eigh(dense)
-    else:
-        op = LinearOperator((dim, dim), matvec=matvec, dtype=complex)
-        vals, vecs = eigsh(op, k=1, which="SA", tol=1e-12, maxiter=50000)
-    v = vecs[:, 0]
-    _checked_residual(matvec(v) - vals[0] * v, 1e-8)
-    return float(vals[0].real)
+    return _lowest_eigenpair(LinearOperator((dim, dim), matvec=matvec, dtype=complex))[0]
 
 
 def unit_scattering_gaussian(width=1.0):
@@ -277,33 +274,22 @@ def build_w_tensor(spec, modes, pair):
 
     ``modes`` is a list of orthonormal fields; ``pair`` is a DeltaPair
     (contact surrogate of strength 8 pi a) or a radial potential from the
-    scattering module.  The symmetry and Hermiticity of the tensor are
-    enforced by averaging.
+    scattering module.  With the pair densities F_ik = conj(phi_i) phi_k and
+    P = v * F (the pair potential applied to each), W_ijkl = dV sum F_ik P_jl.
+    The symmetry and Hermiticity of the tensor are enforced by averaging.
     """
     grid = spec.grid
     dV = grid.cell_volume
     M = len(modes)
     stack = np.stack([m.values for m in modes])
+    F = (np.conj(stack)[:, None] * stack[None, :]).reshape((M * M,) + grid.shape)
     if isinstance(pair, DeltaPair):
-        strength = 8.0 * math.pi * pair.a
-        prod = np.einsum("iX,kX->ikX", np.conj(stack.reshape(M, -1)), stack.reshape(M, -1))
-        W = strength * dV * np.einsum("ikX,jlX->ijkl", prod, prod)
+        P = 8.0 * math.pi * pair.a * F
     else:
-        kernel = _pair_kernel(grid, pair)
-        kernel_hat = fftn(kernel.astype(complex))
-        W = np.zeros((M, M, M, M), dtype=complex)
-        pair_dens = {}
-        for j in range(M):
-            for l in range(M):
-                g_jl = np.conj(stack[j]) * stack[l]
-                conv = ifftn(kernel_hat * fftn(g_jl)) * dV
-                pair_dens[(j, l)] = conv
-        for i in range(M):
-            for k in range(M):
-                f_ik = np.conj(stack[i]) * stack[k]
-                for j in range(M):
-                    for l in range(M):
-                        W[i, j, k, l] = np.sum(f_ik * pair_dens[(j, l)]) * dV
+        kernel_hat = fftn(_pair_kernel(grid, pair).astype(complex))
+        P = ifftn(kernel_hat * fftn(F, grid.dim), grid.dim) * dV
+    W = dV * (F.reshape(M * M, -1) @ P.reshape(M * M, -1).T)
+    W = W.reshape((M,) * 4).transpose(0, 2, 1, 3)
     W = 0.5 * (W + W.transpose(1, 0, 3, 2))
     W = 0.5 * (W + np.conj(W.transpose(2, 3, 0, 1)))
     return W
@@ -549,7 +535,7 @@ def gp_limit_scan(spec, M, g, N_list, pair_kind="delta", with_absolute=False,
         problem = FockProblem(M, N, e, W)
         result = ground_state_bosonic(problem)
         e_abs = None
-        if with_absolute and M**N <= 10_000:
+        if with_absolute and M**N <= _PRODUCT_CAP:
             e_abs = ground_state_absolute(problem)
         rows.append(
             ScanRow(
@@ -574,17 +560,16 @@ class CoherentReport:
 
 
 def coherent_vector(z, D):
-    """Components z^n exp(-|z|^2/2)/sqrt(n!) on the truncated Fock space."""
-    n = np.arange(D)
-    logmag = n * np.log(np.abs(z)) if z != 0 else np.where(n == 0, 0.0, -np.inf)
-    logfact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, D))]))
-    mag = np.exp(logmag - 0.5 * logfact - 0.5 * abs(z) ** 2)
-    phase = np.exp(1j * n * np.angle(z)) if z != 0 else np.ones(D)
-    out = mag * phase
-    if z == 0:
-        out = np.zeros(D, dtype=complex)
-        out[0] = 1.0
-    return out
+    """Components c_n = z^n exp(-|z|^2/2)/sqrt(n!), n < D, on the truncated Fock space.
+
+    ``z`` is one point or an array of points; the components run along a
+    new first axis.  They come from the recurrence c_n = c_(n-1) z / sqrt(n).
+    """
+    z = np.asarray(z, dtype=complex)
+    steps = np.empty((D,) + z.shape, dtype=complex)
+    steps[0] = np.exp(-0.5 * np.abs(z) ** 2)
+    steps[1:] = z / np.sqrt(np.arange(1, D)).reshape((D - 1,) + (1,) * z.ndim)
+    return np.cumprod(steps, axis=0)
 
 
 def annihilation_matrix(D):
@@ -615,26 +600,18 @@ def coherent_state_checks(D=64, z=1 + 1j, Z=8.0, n_max=8,
     th = 2.0 * np.pi * np.arange(angular_points) / angular_points
     zz = np.outer(r, np.exp(1j * th)).reshape(-1)
     wts = np.repeat(r * dr, angular_points) * (2.0 * np.pi / angular_points) / np.pi
-    span = n_max + 1
-    nn = np.arange(span)
-    logfact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, span))]))
-    comps = (
-        zz[None, :] ** nn[:, None]
-        * np.exp(-0.5 * np.abs(zz) ** 2)[None, :]
-        / np.exp(0.5 * logfact)[:, None]
-    )
-    overlap = (comps * wts[None, :]) @ np.conj(comps.T)
-    completeness_error = float(np.linalg.norm(overlap - np.eye(span), 2))
-    upper = (comps * ((np.abs(zz) ** 2 - 1.0) * wts)[None, :]) @ np.conj(comps.T)
-    upper_symbol_error = float(np.linalg.norm(upper - np.diag(nn.astype(float)), 2))
-    shifted = (comps * ((np.abs(zz) ** 2) * wts)[None, :]) @ np.conj(comps.T)
-    shifted_number_error = float(
-        np.linalg.norm(shifted - np.diag(nn + 1.0), 2)
-    )
+    comps = coherent_vector(zz, n_max + 1)
+    nn = np.arange(n_max + 1)
+
+    def symbol_error(symbol, want):
+        """|quadrature of symbol(z) |z><z| - diag(want)| on the span, spectral norm."""
+        quad = (comps * (symbol * wts)) @ np.conj(comps.T)
+        return float(np.linalg.norm(quad - np.diag(want), 2))
+
     return CoherentReport(
         annihilation_error=float(abs(lower_a - z)),
         number_error=float(abs(lower_n - abs(z) ** 2)),
-        completeness_error=completeness_error,
-        upper_symbol_error=upper_symbol_error,
-        shifted_number_error=shifted_number_error,
+        completeness_error=symbol_error(1.0, np.ones(n_max + 1)),
+        upper_symbol_error=symbol_error(np.abs(zz) ** 2 - 1.0, nn.astype(float)),
+        shifted_number_error=symbol_error(np.abs(zz) ** 2, nn + 1.0),
     )

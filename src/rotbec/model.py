@@ -18,6 +18,15 @@ from .errors import NoConvergence, Unstable
 from .lattice import Field, fftn, ifftn
 
 
+def _axis_frequencies(nu, dim):
+    """One trap frequency per grid axis: a single value repeats, else one per axis."""
+    if len(nu) == 1:
+        return nu * dim
+    if len(nu) != dim:
+        raise ValueError(f"{len(nu)} trap frequencies for a {dim}D grid")
+    return nu
+
+
 class HarmonicTrap:
     """V = sum_a nu_a^2 x_a^2."""
 
@@ -27,16 +36,13 @@ class HarmonicTrap:
             raise ValueError("harmonic trap frequencies must be positive")
 
     def evaluate(self, grid):
-        if len(self.nu) not in (1, grid.dim):
-            raise ValueError("trap frequency count does not match grid dimension")
-        nu = self.nu * grid.dim if len(self.nu) == 1 else self.nu
         V = np.zeros(grid.shape)
-        for v, x in zip(nu, grid.meshes):
+        for v, x in zip(self.frequencies(grid.dim), grid.meshes):
             V = V + (v * v) * x**2
         return V
 
     def frequencies(self, dim):
-        return self.nu * dim if len(self.nu) == 1 else self.nu
+        return _axis_frequencies(self.nu, dim)
 
     def is_axisymmetric(self, grid):
         nu = self.frequencies(grid.dim)
@@ -53,14 +59,13 @@ class QuarticTrap:
             raise ValueError("quartic coefficient must be positive")
 
     def evaluate(self, grid):
-        nu = self.nu * grid.dim if len(self.nu) == 1 else self.nu
         V = grid.radius2_mesh**2 * self.lam
-        for v, x in zip(nu, grid.meshes):
+        for v, x in zip(_axis_frequencies(self.nu, grid.dim), grid.meshes):
             V = V + (v * v) * x**2
         return V
 
     def is_axisymmetric(self, grid):
-        nu = self.nu * grid.dim if len(self.nu) == 1 else self.nu
+        nu = _axis_frequencies(self.nu, grid.dim)
         return nu[0] == nu[1]
 
 
@@ -209,6 +214,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.g < 0:
             raise ValueError("coupling g must be nonnegative")
+        if isinstance(self.trap, (HarmonicTrap, QuarticTrap)):
+            _axis_frequencies(self.trap.nu, self.grid.dim)  # raises on a count mismatch
         result = check_stability(self.trap, self.rotation, self.grid)
         if not result:
             raise Unstable(

@@ -39,6 +39,13 @@ def band_limited_field(grid, rng, kcut=0.4):
     return ifftn(spec * mask)
 
 
+def pytest_collection_modifyitems(items):
+    # the sweep fixture is most of the suite's time; -m "not sweep" skips it
+    for item in items:
+        if "sweep_data" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.sweep)
+
+
 # property tests draw the same examples on every run
 settings.register_profile("rotbec", derandomize=True, database=None, deadline=None)
 settings.load_profile("rotbec")

@@ -42,6 +42,24 @@ def test_unknown_keys_rejected(tmp_path):
     assert main(["gp-min", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("trap", [{"kind": "harmonic", "nu": [1.0, 1.0]},
+                                  {"kind": "quartic", "nu": [1.0, 1.0], "lambda": 0.1}])
+def test_frequency_count_mismatch_is_config_error(tmp_path, trap):
+    path = tmp_path / "cfg.json"
+    write_config(path, model={"dim": 3, "points": 16, "trap": trap})
+    assert main(["gp-min", "--config", str(path)]) == 2
+
+
+def test_config_hash_ignores_outputs(tmp_path):
+    path = tmp_path / "cfg.json"
+    write_config(path)
+    _, digest = load_config(path)
+    write_config(path, outputs={"directory": str(tmp_path / "elsewhere"), "emit_fields": True})
+    assert load_config(path)[1] == digest
+    write_config(path, model={"g": 1.0})
+    assert load_config(path)[1] != digest
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert main(["gp-min", "--config", str(tmp_path / "nope.json")]) == 2
 

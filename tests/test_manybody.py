@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from rotbec.manybody import (
     _tangent_model,
     _tangent_vector,
     annihilation_matrix,
+    assemble_hamiltonian,
     basis_dimension,
     build_w_tensor,
     coherent_state_checks,
@@ -27,7 +30,7 @@ from rotbec.manybody import (
     unit_scattering_gaussian,
 )
 from rotbec.model import HarmonicTrap, ModelSpec, RotationSpec, lowest_eigenpairs
-from rotbec.scatter import scattering_length, volume_integral
+from rotbec.scatter import GaussianBump, scattering_length, volume_integral
 
 
 GRID = Grid((7.0, 7.0), (48, 48))
@@ -91,13 +94,46 @@ def test_small_sector_matches_dense_oracle():
     problem = FockProblem(2, 2, (0.3, 0.9), W)
     result = ground_state_bosonic(problem)
     # dense oracle in the 3-dimensional symmetric basis
-    from rotbec.manybody import assemble_hamiltonian
-
     H, _ = assemble_hamiltonian(problem)
     dense = H.toarray()
     assert np.abs(dense - dense.conj().T).max() < 1e-12
     vals = np.linalg.eigvalsh(dense)
     assert abs(result.E0 - vals[0]) < 1e-10
+    # independent oracle: the full Fock space of M = 3 modes with N + 1
+    # levels each, from Kronecker products of one-mode ladder matrices,
+    # restricted to the N = 4 sector (exact there: no step leaves it)
+    M, N = 3, 4
+    e = (0.2, 0.8, 1.1)
+    W = random_tensor(M, 2)
+    problem = FockProblem(M, N, e, W)
+    H, states = assemble_hamiltonian(problem)
+    a1 = annihilation_matrix(N + 1)
+    eye = np.eye(N + 1)
+    a = [functools.reduce(np.kron, [a1 if m == n else eye for m in range(M)])
+         for n in range(M)]
+    ad = [x.conj().T for x in a]
+    full = sum(e[j] * ad[j] @ a[j] for j in range(M))
+    for i, j, k, l in itertools.product(range(M), repeat=4):
+        full = full + 0.5 * W[i, j, k, l] * (ad[i] @ ad[j] @ a[k] @ a[l])
+    sector = [np.ravel_multi_index(s, (N + 1,) * M) for s in states]
+    oracle = full[np.ix_(sector, sector)]
+    assert np.abs(H.toarray() - oracle).max() < 1e-12
+    vals, vecs = np.linalg.eigh(oracle)
+    psi = np.zeros((N + 1) ** M, dtype=complex)
+    psi[sector] = vecs[:, 0]
+    gamma = np.array([[np.vdot(psi, ad[k] @ a[j] @ psi) for k in range(M)]
+                      for j in range(M)])
+    result = ground_state_bosonic(problem)
+    assert abs(result.E0 - vals[0]) < 1e-12
+    assert np.abs(result.gamma1 - gamma).max() < 1e-12
+
+
+def test_exact_ground_states_are_reproducible():
+    # eigsh branches: the same H gives the same energy whatever ran before
+    bosonic = FockProblem(6, 10, tuple(0.3 * np.arange(6)), random_tensor(6, 4))
+    assert len({ground_state_bosonic(bosonic).E0 for _ in range(3)}) == 1
+    absolute = FockProblem(3, 8, (0.2, 0.8, 1.1), random_tensor(3, 6))
+    assert len({ground_state_absolute(absolute) for _ in range(3)}) == 1
 
 
 def test_dense_eigenpair_residual_is_checked():
@@ -155,11 +191,36 @@ def test_w_tensor_symmetrized(modes3):
     assert np.abs(W - np.conj(W.transpose(2, 3, 0, 1))).max() < 1e-10
 
 
+@pytest.mark.parametrize("pair", [DeltaPair(0.4), GaussianBump(1.3, 0.8)])
+def test_w_tensor_matches_double_sum(pair):
+    # W_ijkl = dV^2 sum_xy conj(phi_i(x) phi_j(y)) v(x - y) phi_k(x) phi_l(y)
+    # over all point pairs, with the periodic displacement of _pair_kernel;
+    # complex noise modes expose any wrong index order
+    grid = Grid((3.0, 3.0), (16, 16))
+    spec = ModelSpec(grid, HarmonicTrap((1.0, 1.0)), RotationSpec(0.0), 0.0)
+    rng = np.random.default_rng(8)
+    modes = [Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+             for _ in range(2)]
+    phi = np.stack([m.values.reshape(-1) for m in modes], axis=1)
+    dV = grid.cell_volume
+    if isinstance(pair, DeltaPair):
+        v = np.eye(len(phi)) * 8.0 * math.pi * pair.a / dV
+    else:
+        idx = np.indices(grid.shape).reshape(grid.dim, -1)
+        r2 = 0.0
+        for axis in range(grid.dim):
+            dx, L = grid.spacings[axis], grid.half_widths[axis]
+            d = ((np.subtract.outer(idx[axis], idx[axis]) * dx + L) % (2.0 * L)) - L
+            r2 = r2 + d**2
+        v = pair.value(np.sqrt(r2))
+    want = dV**2 * np.einsum("xi,yj,xy,xk,yl->ijkl", phi.conj(), phi.conj(), v, phi, phi)
+    W = build_w_tensor(spec, modes, pair)
+    assert np.abs(W - want).max() < 1e-12 * np.abs(want).max()
+
+
 def test_w_tensor_gaussian_pair_closed_form_3d():
     # Gaussian mode + Gaussian pair potential: the pair expectation is
     # A (w^2 / (1 + w^2))^(3/2) in closed form
-    from rotbec.scatter import GaussianBump
-
     grid3 = Grid((7.0,) * 3, (48,) * 3)
     spec3 = ModelSpec(grid3, HarmonicTrap((1.0,) * 3), RotationSpec(0.0), 0.0)
     phi0 = normalized(Field(grid3, np.exp(-0.5 * grid3.radius2_mesh).astype(complex)))

@@ -62,6 +62,15 @@ def test_modelspec_rejects_unstable():
         ModelSpec(GRID2, HarmonicTrap((1.0, 1.0)), RotationSpec(0.0), -1.0)
 
 
+def test_modelspec_rejects_frequency_count():
+    # two frequencies on a 3D grid would silently drop the z term
+    grid = Grid((8.0,) * 3, (16,) * 3)
+    for trap in (HarmonicTrap((1.0, 1.0)), QuarticTrap((1.0, 1.0), 0.1)):
+        with pytest.raises(ValueError, match="2 trap frequencies for a 3D grid"):
+            ModelSpec(grid, trap, RotationSpec(0.0), 0.0)
+    ModelSpec(grid, QuarticTrap((1.0,), 0.1), RotationSpec(0.0), 0.0)
+
+
 def test_apply_h0_oscillator_ground_state_3d():
     grid = Grid((8.0,) * 3, (64,) * 3)
     spec = ModelSpec(grid, HarmonicTrap((1.0,) * 3), RotationSpec(0.0), 0.0)
