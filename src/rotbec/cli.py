@@ -23,7 +23,7 @@ from . import diagnostics
 from .dm import minimize_dm
 from .errors import ConfigError, NoConvergence, Unstable
 from .gp import minimize_gp_family
-from .lattice import Grid, write_field_raw, write_field_text
+from .lattice import Grid, limit_threads, write_field_raw, write_field_text
 from .manybody import coherent_state_checks, gp_limit_scan
 from .model import HarmonicTrap, ModelSpec, QuarticTrap, RotationSpec, SampledTrap
 from .scatter import (
@@ -308,7 +308,9 @@ def cmd_sweep(cfg, digest, outdir, workers):
         raise ConfigError("sweep values must be a nonempty list")
     jobs = [(cfg, parameter, float(v)) for v in values]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # one thread per worker process: k workers on k cores, not k x k
+        with ProcessPoolExecutor(max_workers=workers, initializer=limit_threads,
+                                 initargs=(1,)) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(j) for j in jobs]

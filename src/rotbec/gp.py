@@ -12,12 +12,13 @@ can be reported.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import NoConvergence, NotNormalized, Unstable
-from .lattice import Field, fftn, ifftn
+from .lattice import THREADED_SIZE, Field, blas_threads, fftn, ifftn, thread_budget
 from .model import H0Action, check_stability
 
 _NORM_TOL = 1e-8
@@ -290,18 +291,21 @@ def _starting_fields(grid, restarts, seed):
 
 def minimize_gp_family(spec, tol=1e-8, max_iter=200000, restarts=4, seed=0,
                        starts=None):
-    """All converged restarts sorted by energy (best first)."""
+    """All converged restarts sorted by energy (best first).
+
+    On grids below ``lattice.THREADED_SIZE`` points the restarts run side
+    by side, one per usable CPU; the results do not depend on that.
+    """
     stability = check_stability(spec.trap, spec.rotation, spec.grid)
     if not stability:
         raise Unstable("cannot minimize on an unstable model", stability.witness)
     flow = _Flow(spec)
     if starts is None:
         starts = _starting_fields(spec.grid, restarts, seed)
+    starts = [np.asarray(psi0) for psi0 in starts]
+    runs = _descend_all(flow, starts, tol, max_iter)
     results = []
-    attempted = 0
-    for psi0 in starts:
-        attempted += 1
-        psi, resnorm, iters, ok = flow.descend(np.asarray(psi0), tol, max_iter)
+    for psi, resnorm, iters, ok in runs:
         if not ok:
             continue
         phi = Field(spec.grid, psi)
@@ -314,7 +318,7 @@ def minimize_gp_family(spec, tol=1e-8, max_iter=200000, restarts=4, seed=0,
                 breakdown=parts,
                 residual=resnorm,
                 iterations=iters,
-                restarts_used=attempted,
+                restarts_used=len(starts),
             )
         )
     if not results:
@@ -323,9 +327,26 @@ def minimize_gp_family(spec, tol=1e-8, max_iter=200000, restarts=4, seed=0,
             iterations=max_iter,
         )
     results.sort(key=lambda r: r.energy)
-    for r in results:
-        r.restarts_used = attempted
     return results
+
+
+def _descend_all(flow, starts, tol, max_iter):
+    """``flow.descend`` on every start, results in start order.
+
+    Below THREADED_SIZE grid points each restart gets one of the process's
+    threads (its transforms run on one thread) and OpenBLAS is held at one
+    thread, concurrent or not, so the bits never depend on the thread
+    count.  Larger grids run their restarts one after another with
+    all-core transforms.
+    """
+    def descend(psi0):
+        return flow.descend(psi0, tol, max_iter)
+
+    if math.prod(flow.action.grid.shape) >= THREADED_SIZE:
+        return [descend(psi0) for psi0 in starts]
+    threads = max(1, min(thread_budget(), len(starts)))
+    with blas_threads(1), ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(descend, starts))
 
 
 def minimize_gp(spec, tol=1e-8, max_iter=200000, restarts=4, seed=0, starts=None):

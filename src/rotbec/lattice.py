@@ -10,23 +10,87 @@ band-limited fields; quadrature is the rectangle rule, which is exact for
 periodic band-limited integrands.
 """
 
+import ctypes
+import glob
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import fft as _fft
 
-_FFT_WORKERS = -1  # scipy.fft thread pool; -1 = all cores
+# Thread policy.  A transform with fewer than THREADED_SIZE elements runs on
+# one thread (at 96^2 a second scipy.fft thread gains nothing); the cores
+# go instead to whole solver restarts running side by side (gp.py).  Larger
+# transforms get _FFT_WORKERS threads.  scipy.fft gives the same bits for
+# any thread count.
+THREADED_SIZE = 1 << 17
+_FFT_WORKERS = -1  # scipy.fft threads for large transforms; -1 = all cores
+_THREAD_BUDGET = None  # threads this process may keep busy; None = usable CPUs
 
 
 def fftn(values, dim=None):
     """Forward transform of the trailing ``dim`` axes (default: all axes)."""
-    return _fft.fftn(values, axes=_stack_axes(values, dim), workers=_FFT_WORKERS)
+    return _fft.fftn(values, axes=_stack_axes(values, dim), workers=_workers(values))
 
 
 def ifftn(values, dim=None):
     """Inverse of ``fftn`` over the same trailing axes."""
-    return _fft.ifftn(values, axes=_stack_axes(values, dim), workers=_FFT_WORKERS)
+    return _fft.ifftn(values, axes=_stack_axes(values, dim), workers=_workers(values))
+
+
+def _workers(values):
+    return 1 if values.size < THREADED_SIZE else _FFT_WORKERS
+
+
+def thread_budget():
+    """Threads this process may keep busy: its usable CPUs unless limited."""
+    if _THREAD_BUDGET:
+        return _THREAD_BUDGET
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # platforms without CPU affinity
+
+
+def limit_threads(n):
+    """Hold this process to ``n`` threads: transforms and concurrent restarts.
+
+    For pool workers, so that k processes do not each start one thread per
+    core.  BLAS keeps its own setting outside ``blas_threads`` regions.
+    """
+    global _FFT_WORKERS, _THREAD_BUDGET
+    _FFT_WORKERS = _THREAD_BUDGET = n
+
+
+@cache
+def _openblas():
+    """numpy's bundled OpenBLAS as a ctypes library, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+        lib = ctypes.CDLL(path)  # already loaded by numpy: the same handle
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+@contextmanager
+def blas_threads(n):
+    """Hold numpy's OpenBLAS at ``n`` threads inside the block.
+
+    The previous count comes back on exit, also on an exception.  Without
+    the bundled library this does nothing.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(n)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
 
 
 def _stack_axes(values, dim):

@@ -563,13 +563,17 @@ def coherent_vector(z, D):
     """Components c_n = z^n exp(-|z|^2/2)/sqrt(n!), n < D, on the truncated Fock space.
 
     ``z`` is one point or an array of points; the components run along a
-    new first axis.  They come from the recurrence c_n = c_(n-1) z / sqrt(n).
+    new first axis.  The recurrence |c_n| = |c_(n-1)| |z| / sqrt(n) runs in
+    logs, so that exp(-|z|^2/2) cannot underflow for large |z| (|z| > 38.6)
+    before the rising factors of the peak near n = |z|^2 make up for it.
     """
     z = np.asarray(z, dtype=complex)
-    steps = np.empty((D,) + z.shape, dtype=complex)
-    steps[0] = np.exp(-0.5 * np.abs(z) ** 2)
-    steps[1:] = z / np.sqrt(np.arange(1, D)).reshape((D - 1,) + (1,) * z.ndim)
-    return np.cumprod(steps, axis=0)
+    n = np.arange(D).reshape((D,) + (1,) * z.ndim)
+    logs = np.empty((D,) + z.shape)
+    logs[0] = -0.5 * np.abs(z) ** 2
+    with np.errstate(divide="ignore"):  # log 0 = -inf: the vacuum at z = 0
+        logs[1:] = np.log(np.abs(z)) - 0.5 * np.log(n[1:])
+    return np.exp(np.cumsum(logs, axis=0)) * np.exp(1j * n * np.angle(z))
 
 
 def annihilation_matrix(D):

@@ -1,8 +1,11 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
+import rotbec.lattice
 from rotbec.errors import NotNormalized, Unstable
 from rotbec.gp import (
     _Flow,
@@ -313,3 +316,49 @@ def test_minimize_rejects_unstable():
     trap = HarmonicTrap((1.0, 1.0))
     with pytest.raises(Unstable):
         ModelSpec(GRID2, trap, RotationSpec(2.5), 1.0)
+
+
+def _family_with_cpus(monkeypatch, cpus, spec, **kw):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return minimize_gp_family(spec, **kw)
+
+
+@pytest.mark.parametrize("points", [32, 128])
+def test_concurrent_restarts_change_no_bit(monkeypatch, points):
+    # at 128^2 OpenBLAS threads the dots, so its thread count moves bits
+    # there; the cap must hold for serial and concurrent restarts alike
+    spec = harmonic_spec(2.0, 0.5, Grid((6.0, 6.0), (points, points)))
+    kw = dict(tol=1e-7, max_iter=3000, restarts=1, seed=3)
+    serial = _family_with_cpus(monkeypatch, 1, spec, **kw)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more threads than cores, switching often
+    try:
+        threaded = _family_with_cpus(monkeypatch, 4, spec, **kw)
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(serial) == len(threaded) == 5
+    for a, b in zip(serial, threaded):
+        assert a.energy == b.energy and a.iterations == b.iterations
+        assert a.restarts_used == b.restarts_used == 5
+        assert np.array_equal(a.phi.values, b.phi.values)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_restarts_restore_blas_threads(monkeypatch, cpus):
+    lib = rotbec.lattice._openblas()
+    if lib is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    before = lib.scipy_openblas_get_num_threads64_()
+    inside = []
+
+    def descend(self, psi0, tol, max_iter):
+        inside.append(lib.scipy_openblas_get_num_threads64_())
+        if len(inside) == 2:
+            raise RuntimeError("second start fails")
+        return psi0, 0.0, 1, True
+
+    monkeypatch.setattr(_Flow, "descend", descend)
+    with pytest.raises(RuntimeError, match="second start"):
+        _family_with_cpus(monkeypatch, cpus, harmonic_spec(), restarts=2)
+    assert inside and set(inside) == {1}
+    assert lib.scipy_openblas_get_num_threads64_() == before

@@ -3,17 +3,23 @@ import math
 import numpy as np
 import pytest
 
+import rotbec.lattice
 from rotbec.lattice import (
+    THREADED_SIZE,
     Field,
     Grid,
+    fftn,
     gradient_spectral,
+    ifftn,
     inner,
     integrate,
     laplacian_spectral,
+    limit_threads,
     norm,
     normalized,
     read_field_raw,
     read_field_text,
+    thread_budget,
     write_field_raw,
     write_field_text,
 )
@@ -159,3 +165,35 @@ def test_field_dump_roundtrip(tmp_path):
     assert np.abs(back_raw.values - f.values).max() == 0.0
     header = text.read_text().splitlines()[0]
     assert header.startswith("ROTBEC-FIELD v1 dim=2 n=16,24 L=3,4")
+
+
+@pytest.mark.parametrize("shape, dim", [
+    ((32, 32), None),          # field below THREADED_SIZE
+    ((4, 32, 32), 2),          # stack below
+    ((64, 64, 64), None),      # field above
+    ((9, 128, 128), 2),        # stack above
+])
+def test_transforms_match_all_core_scipy_bitwise(shape, dim):
+    from scipy import fft
+
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = None if dim is None else tuple(range(-dim, 0))
+    assert (a.size < THREADED_SIZE) == (shape[-1] == 32)
+    assert np.array_equal(fftn(a, dim), fft.fftn(a, axes=axes, workers=-1))
+    assert np.array_equal(ifftn(a, dim), fft.ifftn(a, axes=axes, workers=-1))
+
+
+def test_limit_threads_holds_large_transforms_and_budget(monkeypatch):
+    from scipy import fft
+
+    monkeypatch.setattr(rotbec.lattice, "_FFT_WORKERS", rotbec.lattice._FFT_WORKERS)
+    monkeypatch.setattr(rotbec.lattice, "_THREAD_BUDGET", rotbec.lattice._THREAD_BUDGET)
+    seen = []
+    monkeypatch.setattr(fft, "fftn", lambda *a, **kw: seen.append(kw["workers"]))
+    a = np.zeros((64, 64, 64), dtype=complex)
+    fftn(a)
+    limit_threads(1)
+    fftn(a)
+    assert seen == [-1, 1]
+    assert thread_budget() == 1

@@ -373,6 +373,20 @@ def test_coherent_vacuum():
     assert abs(np.vdot(v, a @ v)) == 0.0
 
 
+def test_coherent_vector_large_amplitude_matches_log_factorials():
+    # exp(-|z|^2/2) underflows at |z| = 40; the components peak near n = 1600
+    z = 40.0 * np.exp(0.3j)
+    n = np.arange(2048)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    want = np.exp(-0.5 * abs(z) ** 2 + n * math.log(abs(z)) - 0.5 * log_fact
+                  + 1j * n * np.angle(z))
+    v = coherent_vector(z, 2048)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-10
+    assert np.abs(v - want).max() < 1e-10 * np.abs(want).max()
+    report = coherent_state_checks(D=2048, z=40.0, Z=160.0)
+    assert report.annihilation_error < 1e-8
+
+
 def test_coherent_closed_form_moments():
     report = coherent_state_checks(D=64, z=1 + 1j, Z=8.0, n_max=8)
     assert report.annihilation_error < 1e-10

@@ -162,6 +162,8 @@ def test_h0_stack_apply_equals_row_apply(grid):
 
 
 def test_every_transform_uses_the_lattice_thread_setting(monkeypatch):
+    # a sentinel thread count reaches the large transforms only; every
+    # transform below THREADED_SIZE elements runs on one thread
     import scipy.fft
 
     import rotbec.lattice
@@ -171,23 +173,29 @@ def test_every_transform_uses_the_lattice_thread_setting(monkeypatch):
 
     def recording(fn):
         def wrapper(*args, **kwargs):
-            seen.append(kwargs.get("workers"))
+            seen.append((args[0].size, kwargs.get("workers")))
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(rotbec.lattice, "_FFT_WORKERS", 1)
+    monkeypatch.setattr(rotbec.lattice, "_FFT_WORKERS", 3)
     monkeypatch.setattr(scipy.fft, "fftn", recording(scipy.fft.fftn))
     monkeypatch.setattr(scipy.fft, "ifftn", recording(scipy.fft.ifftn))
+    big = Grid((7.0,) * 3, (64,) * 3)
+    big_spec = ModelSpec(big, HarmonicTrap((1.0,) * 3), RotationSpec((0.0, 0.0, 0.5)), 2.0)
+    H0Action(big_spec).apply(noise_field(big, np.random.default_rng(9)))
+    assert len(seen) >= 3 and set(seen) == {(64**3, 3)}
+    seen.clear()
     grid = Grid((7.0, 7.0), (32, 32))
     spec = ModelSpec(grid, HarmonicTrap((1.0, 1.0)), RotationSpec(0.5), 2.0)
     rng = np.random.default_rng(10)
     action = H0Action(spec)
     action.apply(noise_field(grid, rng))
     action.apply(np.stack([noise_field(grid, rng) for _ in range(2)]))
+    assert {size for size, _ in seen} == {32 * 32, 2 * 32 * 32}
     lowest_eigenpairs(spec, 2)
     minimize_dm(spec, 2, tol=1e-6, max_iter=3000, restarts=0, seed=1)
     assert len(seen) > 100
-    assert set(seen) == {1}
+    assert {workers for _, workers in seen} == {1}
 
 
 def test_magnetic_form_identity():
