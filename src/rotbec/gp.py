@@ -334,8 +334,8 @@ def _descend_all(flow, starts, tol, max_iter):
     """``flow.descend`` on every start, results in start order.
 
     Below THREADED_SIZE grid points each restart gets one of the process's
-    threads (its transforms run on one thread) and OpenBLAS is held at one
-    thread, concurrent or not, so the bits never depend on the thread
+    threads (its transforms run on one thread) and numpy's OpenBLAS is held
+    at one thread, concurrent or not, so the bits never depend on the thread
     count.  Larger grids run their restarts one after another with
     all-core transforms.
     """
@@ -345,7 +345,7 @@ def _descend_all(flow, starts, tol, max_iter):
     if math.prod(flow.action.grid.shape) >= THREADED_SIZE:
         return [descend(psi0) for psi0 in starts]
     threads = max(1, min(thread_budget(), len(starts)))
-    with blas_threads(1), ThreadPoolExecutor(threads) as pool:
+    with blas_threads("numpy", 1), ThreadPoolExecutor(threads) as pool:
         return list(pool.map(descend, starts))
 
 

@@ -12,6 +12,7 @@ periodic band-limited integrands.
 
 import ctypes
 import glob
+import importlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -63,34 +64,52 @@ def limit_threads(n):
     _FFT_WORKERS = _THREAD_BUDGET = n
 
 
+# The wheels bundle two OpenBLAS copies, each with its own thread count:
+# numpy's (numpy's @, vdot and np.linalg) and scipy's (scipy.linalg, hence
+# LOBPCG's Rayleigh-Ritz, and ARPACK).  Per copy, keyed by its package: the
+# package's library directory, the file pattern and the suffix of the
+# scipy_openblas_{get,set}_num_threads names.
+_OPENBLAS = {
+    "numpy": ("numpy.libs", "libscipy_openblas64_*", "64_"),
+    "scipy": ("scipy.libs", "libscipy_openblas-*", ""),
+}
+
+
 @cache
-def _openblas():
-    """numpy's bundled OpenBLAS as a ctypes library, or None."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
-        lib = ctypes.CDLL(path)  # already loaded by numpy: the same handle
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            return lib
+def _openblas(copy):
+    """(get, set) thread-count functions of one bundled OpenBLAS, or None."""
+    libs, pattern, suffix = _OPENBLAS[copy]
+    package = importlib.import_module(copy)
+    root = os.path.join(os.path.dirname(package.__file__), os.pardir, libs)
+    for path in glob.glob(os.path.join(root, pattern)):
+        lib = ctypes.CDLL(path)  # already loaded by its package: the same handle
+        if hasattr(lib, "scipy_openblas_set_num_threads" + suffix):
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
     return None
 
 
 @contextmanager
-def blas_threads(n):
-    """Hold numpy's OpenBLAS at ``n`` threads inside the block.
+def blas_threads(copy, n):
+    """Hold the ``copy`` ("numpy" or "scipy") OpenBLAS at ``n`` threads.
 
     The previous count comes back on exit, also on an exception.  Without
-    the bundled library this does nothing.
+    that bundled library this does nothing.
     """
-    lib = _openblas()
-    if lib is None:
+    funcs = _openblas(copy)
+    if funcs is None:
         yield
         return
-    old = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(n)
+    get, put = funcs
+    old = get()
+    put(n)
     try:
         yield
     finally:
-        lib.scipy_openblas_set_num_threads64_(old)
+        put(old)
 
 
 def _stack_axes(values, dim):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .errors import NoConvergence, Unstable
-from .lattice import Field, fftn, ifftn
+from .lattice import Field, blas_threads, fftn, ifftn
 
 
 def _axis_frequencies(nu, dim):
@@ -358,7 +358,10 @@ def lowest_eigenpairs(spec, m, residual_tol=1e-8, maxiter=800, seed=7):
     envelope = np.exp(-0.5 * grid.radius2_mesh).reshape(-1)
     x0 *= envelope[:, None]
     x0[:, 0] += envelope
-    with np.errstate(all="ignore"), warnings.catch_warnings():
+    # scipy's OpenBLAS (the small dense Rayleigh-Ritz) at one thread changes
+    # no bit; numpy's (the block products) stays at its default, because
+    # capping it picks another vector of a degenerate shell.
+    with np.errstate(all="ignore"), warnings.catch_warnings(), blas_threads("scipy", 1):
         warnings.simplefilter("ignore")  # residuals are re-checked below
         vals, vecs = lobpcg(op, x0, M=prec, largest=False, tol=residual_tol / 10.0,
                             maxiter=maxiter)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .errors import NonFiniteScatteringLength
+from .errors import NoConvergence, NonFiniteScatteringLength
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,8 @@ def scattering_length(v, rtol=1e-12):
     spheres) and evaluates a = r - u/u' at the range; the result is
     checked to be stable to 1e-8 under tightening of the integrator
     tolerance.  Raises NonFiniteScatteringLength at a zero-energy
-    resonance (u' -> 0).
+    resonance (u' -> 0), and NoConvergence when the integrator stops short
+    of the range.
     """
     if isinstance(v, HardSphere):
         return v.radius
@@ -145,6 +146,9 @@ def scattering_length(v, rtol=1e-12):
             rtol=rt,
             atol=1e-14,
         )
+        if sol.status != 0 or sol.t[-1] != v.range:
+            raise NoConvergence(f"radial integration stopped at r = {sol.t[-1]!r} "
+                                f"of {v.range!r}: {sol.message}")
         u, du = sol.y[0][-1], sol.y[1][-1]
         if abs(du) < 1e-12 * max(1.0, abs(u) / v.range):
             raise NonFiniteScatteringLength("u' vanishes at the potential range")

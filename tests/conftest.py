@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import rotbec.lattice
 from rotbec import (
     Grid,
     HarmonicTrap,
@@ -37,6 +38,30 @@ def band_limited_field(grid, rng, kcut=0.4):
     from scipy.fft import ifftn
 
     return ifftn(spec * mask)
+
+
+def stopping_halfway(solve_ivp):
+    """solve_ivp as it returns when the step size collapses mid-range."""
+    def wrapper(fun, t_span, y0, **kwargs):
+        sol = solve_ivp(fun, (t_span[0], 0.5 * t_span[1]), y0, **kwargs)
+        sol.status, sol.success, sol.message = -1, False, "Required step size is too small"
+        return sol
+    return wrapper
+
+
+@pytest.fixture
+def blas_counts():
+    """Thread counts of numpy's and scipy's bundled OpenBLAS, as a callable.
+
+    Both copies are held at 2 threads for the test, so that a cap to 1
+    shows on any core count.  Skips when either library is absent.
+    """
+    copies = ("numpy", "scipy")
+    getters = [rotbec.lattice._openblas(copy) for copy in copies]
+    if None in getters:
+        pytest.skip("numpy or scipy has no bundled OpenBLAS")
+    with rotbec.lattice.blas_threads("numpy", 2), rotbec.lattice.blas_threads("scipy", 2):
+        yield lambda: {copy: get() for copy, (get, _) in zip(copies, getters)}
 
 
 def pytest_collection_modifyitems(items):

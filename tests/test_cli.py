@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+import rotbec.scatter
 from rotbec.cli import load_config, main
 from rotbec.errors import ConfigError
 from rotbec.lattice import read_field_raw, read_field_text
+from conftest import stopping_halfway
 
 
 def write_config(path, **overrides):
@@ -203,6 +205,14 @@ def test_scatter_outputs(tmp_path):
     assert "scattering_length" in payload
     lines = (tmp_path / "out" / "born.csv").read_text().splitlines()
     assert lines[1] == "a,s_of_a,rel_deviation"
+
+
+def test_scatter_no_convergence_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(rotbec.scatter, "solve_ivp", stopping_halfway(rotbec.scatter.solve_ivp))
+    path = tmp_path / "cfg.json"
+    write_config(path, scatter={"potential": {"kind": "gaussian", "amplitude": 2.0,
+                                              "width": 0.7}})
+    assert main(["scatter", "--config", str(path)]) == 3
 
 
 def test_console_entry_point(tmp_path):

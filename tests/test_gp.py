@@ -5,7 +5,6 @@ import sys
 import numpy as np
 import pytest
 
-import rotbec.lattice
 from rotbec.errors import NotNormalized, Unstable
 from rotbec.gp import (
     _Flow,
@@ -344,15 +343,13 @@ def test_concurrent_restarts_change_no_bit(monkeypatch, points):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_restarts_restore_blas_threads(monkeypatch, cpus):
-    lib = rotbec.lattice._openblas()
-    if lib is None:
-        pytest.skip("numpy has no bundled OpenBLAS")
-    before = lib.scipy_openblas_get_num_threads64_()
+def test_restarts_restore_blas_threads(monkeypatch, blas_counts, cpus):
+    # numpy's copy is capped inside every descend, scipy's is left alone
+    before = blas_counts()
     inside = []
 
     def descend(self, psi0, tol, max_iter):
-        inside.append(lib.scipy_openblas_get_num_threads64_())
+        inside.append(blas_counts())
         if len(inside) == 2:
             raise RuntimeError("second start fails")
         return psi0, 0.0, 1, True
@@ -360,5 +357,5 @@ def test_restarts_restore_blas_threads(monkeypatch, cpus):
     monkeypatch.setattr(_Flow, "descend", descend)
     with pytest.raises(RuntimeError, match="second start"):
         _family_with_cpus(monkeypatch, cpus, harmonic_spec(), restarts=2)
-    assert inside and set(inside) == {1}
-    assert lib.scipy_openblas_get_num_threads64_() == before
+    assert inside and all(c == {**before, "numpy": 1} for c in inside)
+    assert blas_counts() == before

@@ -1,4 +1,7 @@
+import glob
+import importlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -197,3 +200,17 @@ def test_limit_threads_holds_large_transforms_and_budget(monkeypatch):
     fftn(a)
     assert seen == [-1, 1]
     assert thread_budget() == 1
+
+
+@pytest.mark.parametrize("copy", ["numpy", "scipy"])
+def test_every_bundled_openblas_has_a_thread_setter(copy):
+    # a renamed wheel library would turn every blas_threads cap into a no-op
+    package = os.path.dirname(importlib.import_module(copy).__file__)
+    root = os.path.join(package, os.pardir, f"{copy}.libs")
+    if not glob.glob(os.path.join(root, "libscipy_openblas*")):
+        pytest.skip(f"{copy} has no bundled OpenBLAS")
+    funcs = rotbec.lattice._openblas(copy)
+    assert funcs is not None
+    get, _ = funcs
+    with rotbec.lattice.blas_threads(copy, 1):
+        assert get() == 1

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import math
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rotbec.manybody
 from rotbec.errors import DimensionTooLarge, InvalidState, NoConvergence
-from rotbec.lattice import Field, Grid, normalized
+from rotbec.lattice import Field, Grid, blas_threads, normalized
 from rotbec.manybody import (
     DeltaPair,
     FockProblem,
@@ -134,6 +136,36 @@ def test_exact_ground_states_are_reproducible():
     assert len({ground_state_bosonic(bosonic).E0 for _ in range(3)}) == 1
     absolute = FockProblem(3, 8, (0.2, 0.8, 1.1), random_tensor(3, 6))
     assert len({ground_state_absolute(absolute) for _ in range(3)}) == 1
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_eigsh_holds_scipy_blas_at_one_thread(monkeypatch, blas_counts, fails):
+    before = blas_counts()
+    inside = []
+    real = rotbec.manybody.eigsh
+
+    def recording(*args, **kwargs):
+        inside.append(blas_counts())
+        if fails:
+            raise RuntimeError("eigsh fails")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rotbec.manybody, "eigsh", recording)
+    problem = FockProblem(6, 6, tuple(0.3 * np.arange(6)), random_tensor(6, 4))
+    with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
+        ground_state_bosonic(problem)
+    assert inside == [{**before, "scipy": 1}]
+    assert blas_counts() == before
+
+
+def test_exact_ground_state_does_not_depend_on_scipy_blas_threads():
+    # 462 states: the eigsh branch; ARPACK's bits moved with the thread count
+    problem = FockProblem(6, 6, tuple(0.3 * np.arange(6)), random_tensor(6, 4))
+    energies = []
+    for n in (1, 2):
+        with blas_threads("scipy", n):
+            energies.append(ground_state_bosonic(problem).E0)
+    assert energies[0] == energies[1]
 
 
 def test_dense_eigenpair_residual_is_checked():

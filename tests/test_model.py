@@ -1,8 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 
+import rotbec.model
 from rotbec.errors import Unstable
-from rotbec.lattice import Field, Grid, inner, norm, normalized
+from rotbec.lattice import Field, Grid, blas_threads, inner, norm, normalized
 from rotbec.model import (
     H0Action,
     HarmonicTrap,
@@ -196,6 +199,39 @@ def test_every_transform_uses_the_lattice_thread_setting(monkeypatch):
     minimize_dm(spec, 2, tol=1e-6, max_iter=3000, restarts=0, seed=1)
     assert len(seen) > 100
     assert {workers for _, workers in seen} == {1}
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_lobpcg_holds_scipy_blas_at_one_thread(monkeypatch, blas_counts, fails):
+    before = blas_counts()
+    inside = []
+    real = rotbec.model.lobpcg
+
+    def recording(*args, **kwargs):
+        inside.append(blas_counts())
+        if fails:
+            raise RuntimeError("lobpcg fails")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rotbec.model, "lobpcg", recording)
+    spec = ModelSpec(Grid((7.0, 7.0), (32, 32)), HarmonicTrap((1.0, 1.0)), RotationSpec(0.0), 0.0)
+    with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
+        lowest_eigenpairs(spec, 2)
+    assert inside == [{**before, "scipy": 1}]
+    assert blas_counts() == before
+
+
+def test_scipy_blas_cap_moves_no_eigenpair_bit(monkeypatch):
+    # fock-scan's spec: the M = 4 cut through the threefold 6.0 shell picks
+    # whatever vector LOBPCG returns, so any moved bit would move its pins
+    spec = ModelSpec(Grid((7.0, 7.0), (48, 48)), HarmonicTrap((1.0, 1.0)), RotationSpec(0.0), 0.0)
+    capped = lowest_eigenpairs(spec, 6, seed=7)
+    monkeypatch.setattr(rotbec.model, "blas_threads", lambda copy, n: contextlib.nullcontext())
+    with blas_threads("scipy", 2):
+        uncapped = lowest_eigenpairs(spec, 6, seed=7)
+    for (e1, f1), (e2, f2) in zip(capped, uncapped, strict=True):
+        assert e1 == e2
+        assert np.array_equal(f1.values, f2.values)
 
 
 def test_magnetic_form_identity():

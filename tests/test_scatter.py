@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from rotbec.errors import NonFiniteScatteringLength
+import rotbec.scatter
+from rotbec.errors import NoConvergence, NonFiniteScatteringLength
 from rotbec.scatter import (
     GaussianBump,
     HardSphere,
@@ -13,6 +14,7 @@ from rotbec.scatter import (
     scattering_length,
     volume_integral,
 )
+from conftest import stopping_halfway
 
 
 def test_hard_sphere_exact_two_decades():
@@ -105,3 +107,9 @@ def test_repulsive_barrier_tanh_form():
         kappa = math.sqrt(depth / 2.0)
         closed = R * (1.0 - math.tanh(kappa * R) / (kappa * R))
         assert abs(scattering_length(SquareWell(depth, R)) - closed) < 1e-10
+
+
+def test_failed_radial_integration_raises(monkeypatch):
+    monkeypatch.setattr(rotbec.scatter, "solve_ivp", stopping_halfway(rotbec.scatter.solve_ivp))
+    with pytest.raises(NoConvergence, match="stopped at r"):
+        scattering_length(GaussianBump(2.0, 0.7))
