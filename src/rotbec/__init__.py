@@ -27,6 +27,7 @@ from .model import (
 from .gp import (
     GPBreakdown,
     GPResult,
+    Restart,
     chemical_potential,
     gp_energy,
     gp_gradient,

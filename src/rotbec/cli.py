@@ -307,6 +307,7 @@ def cmd_sweep(cfg, digest, outdir, workers):
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep values must be a nonempty list")
     jobs = [(cfg, parameter, float(v)) for v in values]
+    workers = min(workers, len(jobs))  # a fork pool starts all its workers at once
     if workers > 1:
         # one thread per worker process: k workers on k cores, not k x k
         with ProcessPoolExecutor(max_workers=workers, initializer=limit_threads,
@@ -429,10 +430,13 @@ def main(argv=None):
                         help="parallel sweep workers (default: ROTBEC_WORKERS or 1)")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("ROTBEC_WORKERS", "1"))
     try:
+        workers = args.workers
+        if workers is None:
+            try:
+                workers = int(os.environ.get("ROTBEC_WORKERS", "1"))
+            except ValueError as exc:
+                raise ConfigError(f"ROTBEC_WORKERS is not an integer: {exc}") from exc
         cfg, digest = load_config(args.config)
         outdir = cfg.get("outputs", {}).get("directory", ".")
         os.makedirs(outdir, exist_ok=True)

@@ -11,6 +11,7 @@ is J0(|k| r)), so radially symmetric densities score at rounding level.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 from scipy.special import j0
 
 from .errors import NotAxisymmetricTrap
@@ -170,21 +171,8 @@ def minimizer_family_analysis(results, energy_tol=1e-6, distance_tol=1e-3, trap=
             d = density_l1_distance(members[i].phi, members[j].phi)
             dist[i, j] = dist[j, i] = d
             pairwise.append(d)
-    # single-linkage components under the distance threshold
-    labels = [-1] * n
-    n_clusters = 0
-    for i in range(n):
-        if labels[i] >= 0:
-            continue
-        stack = [i]
-        labels[i] = n_clusters
-        while stack:
-            u = stack.pop()
-            for v in range(n):
-                if labels[v] < 0 and dist[u, v] <= distance_tol:
-                    labels[v] = n_clusters
-                    stack.append(v)
-        n_clusters += 1
+    # single-linkage clusters: components of the graph of close pairs
+    n_clusters = int(connected_components(dist <= distance_tol, directed=False)[0])
     s = None
     best_result = min(results, key=lambda r: r.energy)
     if trap is None or trap.is_axisymmetric(best_result.phi.grid):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InvalidState, NoConvergence
-from .gp import _Flow, gaussian_envelope, vortex_seed
+from .gp import _Flow, _given_starts, gaussian_envelope, vortex_seed
 from .lattice import Field
 from .model import H0Action
 
@@ -72,9 +72,16 @@ class DMResult:
     state: DMState
     energy: float
     residual: float
-    iterations: int
-    restarts_used: int
+    restarts: tuple  # gp.Restart records of every start, converged or not
     orbital_energies: list = dc_field(default_factory=list)
+
+    @property
+    def iterations(self):
+        return sum(r.applications for r in self.restarts)
+
+    @property
+    def restarts_used(self):
+        return len(self.restarts)
 
 
 def dm_energy(spec, state):
@@ -169,7 +176,8 @@ def _extract_state(spec, stack):
         nrm = float(np.linalg.norm(mixed[k])) * math.sqrt(dV)
         orbitals.append(mixed[k] / nrm if nrm > 1e-8 else mixed[k])
     # zero-weight rows carry no direction; re-orthonormalize the family so
-    # the returned orbitals are a valid frame and the rank can re-grow
+    # the returned orbitals are a valid orthonormal frame (a zero row has
+    # zero gradient, so the flow alone cannot re-grow the rank)
     block = _orthonormal_rows(orbitals, dV, grid)
     return lam, block
 
@@ -185,13 +193,11 @@ def _dm_starts(grid, n, restarts, seed, seed_fields):
             # small noise so the flow can grow rank away from the seed
             noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
             base.append(1e-3 * noise * env)
-        starts.append(np.stack(base))
-    vort = np.stack([vortex_seed(grid, q) for q in range(n)]) if n > 1 else \
-        vortex_seed(grid, 0)[None]
-    starts.append(vort)
+        starts.append(("seeded", np.stack(base)))
+    starts.append(("vortex", np.stack([vortex_seed(grid, q) for q in range(n)])))
     for _ in range(restarts):
         noise = rng.standard_normal((n,) + grid.shape) + 1j * rng.standard_normal((n,) + grid.shape)
-        starts.append(noise * env[None])
+        starts.append(("noise", noise * env[None]))
     return starts
 
 
@@ -202,21 +208,20 @@ def minimize_dm(spec, n, tol=1e-7, max_iter=40000, restarts=2, seed=0,
     ``seed_fields`` (optional) is a list of fields used to build the first
     restart, e.g. a GP minimizer to guarantee E_DM <= E_GP, or the
     orbitals of a lower-rank solution.  ``starts`` replaces the whole
-    start list with explicit (n,)+grid stacks.
+    start list with explicit (n,)+grid stacks.  ``restarts`` of the result
+    lists every start, converged or not.
     """
     if not 1 <= n <= 8:
         raise InvalidState(f"rank must be between 1 and 8, got {n}")
-    flow = _Flow(spec)
-    best = None
-    attempted = 0
-    total_iters = 0
     if starts is None:
         starts = _dm_starts(spec.grid, n, restarts, seed, seed_fields)
-    for start in starts:
-        attempted += 1
-        stack, resnorm, iters, ok = flow.descend(start, tol, max_iter)
-        total_iters += iters
-        if not ok:
+    else:
+        starts = _given_starts(starts, (n,) + spec.grid.shape, InvalidState)
+    flow = _Flow(spec)
+    stacks, records = flow.descend_all(starts, tol, max_iter)
+    best = None
+    for stack, rec in zip(stacks, records):
+        if not rec.ok:
             continue
         lam, block = _extract_state(spec, stack)
         # exact weight update with orbitals fixed; never increases energy
@@ -227,23 +232,10 @@ def minimize_dm(spec, n, tol=1e-7, max_iter=40000, restarts=2, seed=0,
         if energy > energy_before + 1e-11 * max(1.0, abs(energy_before)):
             raise AssertionError("weight update increased the energy")
         if best is None or energy < best[0]:
-            best = (energy, block, lam2, resnorm, h)
-    if best is None:
-        raise NoConvergence(
-            f"no restart reached residual {tol!r} within {max_iter} iterations",
-            iterations=max_iter,
-        )
+            best = (energy, block, lam2, rec.residual, h)
     energy, block, lam, resnorm, h = best
     order = np.argsort(-lam)
-    state = DMState(
-        orbitals=[Field(spec.grid, block[i].copy()) for i in order],
-        weights=lam[order],
-    )
-    return DMResult(
-        state=state,
-        energy=energy,
-        residual=resnorm,
-        iterations=total_iters,
-        restarts_used=attempted,
-        orbital_energies=[h[i] for i in order],
-    )
+    state = DMState(orbitals=[Field(spec.grid, block[i].copy()) for i in order],
+                    weights=lam[order])
+    return DMResult(state=state, energy=energy, residual=resnorm, restarts=records,
+                    orbital_energies=[h[i] for i in order])

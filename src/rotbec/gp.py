@@ -17,9 +17,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import NoConvergence, NotNormalized, Unstable
+from .errors import NoConvergence, NotNormalized
 from .lattice import THREADED_SIZE, Field, blas_threads, fftn, ifftn, thread_budget
-from .model import H0Action, check_stability
+from .model import H0Action
 
 _NORM_TOL = 1e-8
 
@@ -36,6 +36,20 @@ class GPBreakdown:
         return self.kinetic + self.potential + self.rotational + self.interaction
 
 
+@dataclass(frozen=True)
+class Restart:
+    """One start of a GP or DM minimization and how its descent ended.
+
+    ``start`` is its kind: "vortex q=0".."vortex q=3" or "noise" (GP),
+    "seeded", "vortex" or "noise" (DM), "given" (explicit ``starts=``).
+    """
+
+    start: str
+    applications: int
+    ok: bool
+    residual: float
+
+
 @dataclass
 class GPResult:
     phi: Field = dc_field(repr=False)
@@ -44,7 +58,11 @@ class GPResult:
     breakdown: GPBreakdown = None
     residual: float = 0.0
     iterations: int = 0
-    restarts_used: int = 0
+    restarts: tuple = ()  # every start of the call, converged or not
+
+    @property
+    def restarts_used(self):
+        return len(self.restarts)
 
     def density(self):
         v = self.phi.values
@@ -268,6 +286,41 @@ class _Flow:
             st = best
         return st.psi, st.resnorm, iters, st.resnorm <= tol
 
+    def descend_all(self, starts, tol, max_iter):
+        """``descend`` on every (kind, array) start: (arrays, Restart records).
+
+        Both come back in start order.  Single fields on grids below
+        THREADED_SIZE points run side by side on the thread budget, with
+        numpy's OpenBLAS held at one thread so no bit depends on the thread
+        count; stacks and larger grids run one after another with default
+        threads.  Raises NoConvergence when no start converges.
+        """
+        def descend(start):
+            return self.descend(start[1], tol, max_iter)
+
+        if starts[0][1].ndim > self.dim or math.prod(self.action.grid.shape) >= THREADED_SIZE:
+            runs = [descend(start) for start in starts]
+        else:
+            threads = max(1, min(thread_budget(), len(starts)))
+            with blas_threads("numpy", 1), ThreadPoolExecutor(threads) as pool:
+                runs = list(pool.map(descend, starts))
+        records = tuple(Restart(kind, iters, ok, res)
+                        for (kind, _), (_, res, iters, ok) in zip(starts, runs))
+        if not any(r.ok for r in records):
+            raise NoConvergence(f"none of {len(records)} restarts reached residual {tol!r} "
+                                f"within {max_iter} iterations", iterations=max_iter)
+        return [run[0] for run in runs], records
+
+
+def _given_starts(starts, shape, error):
+    """Explicit ``starts=`` as ("given", array) pairs, each of ``shape``."""
+    starts = [("given", np.asarray(psi0)) for psi0 in starts]
+    if not starts:
+        raise ValueError("starts= is empty: there is nothing to descend from")
+    if any(psi0.shape != shape for _, psi0 in starts):
+        raise error(f"every start must have shape {shape}")
+    return starts
+
 
 def gaussian_envelope(grid):
     return np.exp(-0.5 * grid.radius2_mesh)
@@ -281,11 +334,11 @@ def vortex_seed(grid, q):
 
 def _starting_fields(grid, restarts, seed):
     rng = np.random.default_rng(seed)
-    starts = [vortex_seed(grid, q) for q in range(4)]
+    starts = [(f"vortex q={q}", vortex_seed(grid, q)) for q in range(4)]
     env = gaussian_envelope(grid)
     for _ in range(restarts):
         noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        starts.append(noise * env)
+        starts.append(("noise", noise * env))
     return starts
 
 
@@ -293,60 +346,27 @@ def minimize_gp_family(spec, tol=1e-8, max_iter=200000, restarts=4, seed=0,
                        starts=None):
     """All converged restarts sorted by energy (best first).
 
-    On grids below ``lattice.THREADED_SIZE`` points the restarts run side
-    by side, one per usable CPU; the results do not depend on that.
+    Each result's ``restarts`` lists every start, converged or not.  On
+    grids below ``lattice.THREADED_SIZE`` points the restarts run side by
+    side (``_Flow.descend_all``); the results do not depend on that.
     """
-    stability = check_stability(spec.trap, spec.rotation, spec.grid)
-    if not stability:
-        raise Unstable("cannot minimize on an unstable model", stability.witness)
     flow = _Flow(spec)
     if starts is None:
         starts = _starting_fields(spec.grid, restarts, seed)
-    starts = [np.asarray(psi0) for psi0 in starts]
-    runs = _descend_all(flow, starts, tol, max_iter)
+    else:
+        starts = _given_starts(starts, spec.grid.shape, ValueError)
+    fields, records = flow.descend_all(starts, tol, max_iter)
     results = []
-    for psi, resnorm, iters, ok in runs:
-        if not ok:
+    for psi, rec in zip(fields, records):
+        if not rec.ok:
             continue
         phi = Field(spec.grid, psi)
         parts = gp_energy(spec, phi)
-        results.append(
-            GPResult(
-                phi=phi,
-                energy=parts.total,
-                mu=parts.total + parts.interaction,
-                breakdown=parts,
-                residual=resnorm,
-                iterations=iters,
-                restarts_used=len(starts),
-            )
-        )
-    if not results:
-        raise NoConvergence(
-            f"no restart reached residual {tol!r} within {max_iter} iterations",
-            iterations=max_iter,
-        )
+        results.append(GPResult(
+            phi=phi, energy=parts.total, mu=parts.total + parts.interaction, breakdown=parts,
+            residual=rec.residual, iterations=rec.applications, restarts=records))
     results.sort(key=lambda r: r.energy)
     return results
-
-
-def _descend_all(flow, starts, tol, max_iter):
-    """``flow.descend`` on every start, results in start order.
-
-    Below THREADED_SIZE grid points each restart gets one of the process's
-    threads (its transforms run on one thread) and numpy's OpenBLAS is held
-    at one thread, concurrent or not, so the bits never depend on the thread
-    count.  Larger grids run their restarts one after another with
-    all-core transforms.
-    """
-    def descend(psi0):
-        return flow.descend(psi0, tol, max_iter)
-
-    if math.prod(flow.action.grid.shape) >= THREADED_SIZE:
-        return [descend(psi0) for psi0 in starts]
-    threads = max(1, min(thread_budget(), len(starts)))
-    with blas_threads("numpy", 1), ThreadPoolExecutor(threads) as pool:
-        return list(pool.map(descend, starts))
 
 
 def minimize_gp(spec, tol=1e-8, max_iter=200000, restarts=4, seed=0, starts=None):

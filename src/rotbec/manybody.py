@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DimensionTooLarge, InvalidState, NoConvergence
@@ -231,29 +232,21 @@ def ground_state_absolute(problem):
 def unit_scattering_gaussian(width=1.0):
     """Repulsive Gaussian of the given width with scattering length 1.
 
-    The amplitude is found by bisection; for widths around 1 the required
-    amplitude exists because a grows monotonically from 0 with amplitude.
+    The amplitude is bracketed by doubling, then found by Brent's method;
+    for widths around 1 it exists because a grows monotonically from 0
+    with amplitude.
     """
     lo, hi = 1e-6, 4.0
-    target = 1.0
 
     def f(amp):
-        return scattering_length(GaussianBump(amp, width)) - target
+        return scattering_length(GaussianBump(amp, width)) - 1.0
 
     while f(hi) < 0:
         lo = hi
         hi *= 2.0
         if hi > 1e5:
             raise ValueError("width too small to reach scattering length 1")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1 + 1e-14:
-            break
-    return GaussianBump(math.sqrt(lo * hi), width)
+    return GaussianBump(brentq(f, lo, hi, xtol=1e-300, rtol=1e-14), width)
 
 
 def _pair_kernel(grid, potential):

@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import rotbec.gp
 import rotbec.lattice
 from rotbec import (
     Grid,
@@ -47,6 +50,22 @@ def stopping_halfway(solve_ivp):
         sol.status, sol.success, sol.message = -1, False, "Required step size is too small"
         return sol
     return wrapper
+
+
+def logged_descend(fail=None):
+    """``_Flow.descend`` that logs (start, applications, thread) per call.
+
+    The start equal to ``fail`` is reported as unconverged.  Returns the
+    replacement and its log.
+    """
+    descend = rotbec.gp._Flow.descend
+    log = []
+
+    def wrapper(self, psi0, tol, max_iter):
+        psi, res, iters, ok = descend(self, psi0, tol, max_iter)
+        log.append((psi0, iters, threading.get_ident()))
+        return psi, res, iters, ok and not np.array_equal(psi0, fail)
+    return wrapper, log
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import rotbec.cli
 import rotbec.scatter
 from rotbec.cli import load_config, main
 from rotbec.errors import ConfigError
@@ -169,6 +170,42 @@ def test_sweep_parallel_workers_env(tmp_path):
     assert len(lines) == 4  # stamp + header + two rows
     assert lines[2].split(",")[0] == "0"
     assert csv.read_bytes() == serial
+
+
+def _two_point_sweep(tmp_path):
+    path = tmp_path / "cfg.json"
+    write_config(path, solver={"tol": 1e-7, "max_iter": 5000, "restarts": 0, "seed": 5},
+                 sweep={"parameter": "g", "values": [0.0, 2.0]}, dm={"rank": 2})
+    return path
+
+
+def test_bad_worker_count_env_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ROTBEC_WORKERS", "two")
+    assert main(["sweep", "--config", str(_two_point_sweep(tmp_path))]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_pool_has_no_more_workers_than_points(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Runs the jobs in this process and records the pool size asked for."""
+
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(rotbec.cli, "ProcessPoolExecutor", RecordingPool)
+    assert main(["sweep", "--config", str(_two_point_sweep(tmp_path)), "--workers", "8"]) == 0
+    assert sizes == [2]
 
 
 def test_fock_csv(tmp_path):

@@ -159,6 +159,13 @@ def test_family_analysis_clusters():
     assert len(report.pairwise_density_distances) == 3
     single = minimizer_family_analysis([Fake(a, 1.0)])
     assert single.n_distinct_minimizers == 1
+    # single linkage: a ~ b and b ~ c join a and c, though they are far apart
+    chain = [seeded(1, x0=dx) for dx in (0.0, 6e-4, 1.2e-3)]
+    d = [density_l1_distance(chain[i], chain[j]) for i, j in ((0, 1), (1, 2), (0, 2))]
+    assert max(d[0], d[1]) <= 1e-3 < d[2]
+    report = minimizer_family_analysis([Fake(f, 1.0) for f in chain], distance_tol=1e-3)
+    assert report.n_distinct_minimizers == 1
+    assert type(report.n_distinct_minimizers) is int
 
 
 def test_family_analysis_scoping_by_energy():

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,11 @@ from rotbec.dm import (
     project_simplex,
 )
 from rotbec.errors import InvalidState, NoConvergence
-from rotbec.gp import gp_energy, minimize_gp
+from rotbec.gp import _Flow, gp_energy, minimize_gp, vortex_seed
 from rotbec.lattice import Field, Grid, inner, normalized
 from rotbec.model import HarmonicTrap, ModelSpec, RotationSpec, lowest_eigenpairs
 from rotbec.diagnostics import density_l1_distance
-from conftest import noise_field
+from conftest import logged_descend, noise_field
 
 
 GRID = Grid((8.0, 8.0), (48, 48))
@@ -150,3 +152,38 @@ def test_dm_orbitals_stay_orthonormal(sweep_data):
         for j in range(len(orbs)):
             ov = inner(orbs[i], orbs[j])
             assert abs(ov - (1.0 if i == j else 0.0)) < 1e-10
+
+
+def test_dm_lists_failed_restarts(monkeypatch):
+    vortex = np.stack([vortex_seed(GRID, q) for q in range(2)])
+    descend, log = logged_descend(fail=vortex)
+    monkeypatch.setattr(_Flow, "descend", descend)
+    result = minimize_dm(harmonic_spec(g=5.0), 2, tol=1e-6, max_iter=4000, restarts=1,
+                         seed=1, seed_fields=[vortex_seed(GRID, 0)])
+    records = result.restarts
+    assert [(r.start, r.ok) for r in records] == [("seeded", True), ("vortex", False),
+                                                  ("noise", True)]
+    assert result.restarts_used == 3
+    # stacks run one after another on the calling thread, in start order
+    assert [r.applications for r in records] == [iters for _, iters, _ in log]
+    assert result.iterations == sum(iters for _, iters, _ in log)
+    assert {thread for _, _, thread in log} == {threading.get_ident()}
+
+
+def test_dm_no_converged_restart_names_the_count():
+    with pytest.raises(NoConvergence, match="none of 2 restarts"):
+        minimize_dm(harmonic_spec(g=5.0), 2, max_iter=1, restarts=1)
+
+
+def test_dm_explicit_starts_checked_before_descent(monkeypatch):
+    descend, log = logged_descend()
+    monkeypatch.setattr(_Flow, "descend", descend)
+    spec = harmonic_spec(g=5.0)
+    two_rows = np.stack([vortex_seed(GRID, q) for q in range(2)])
+    with pytest.raises(InvalidState, match="shape"):
+        minimize_dm(spec, 4, starts=[two_rows])
+    with pytest.raises(InvalidState, match="shape"):
+        minimize_dm(spec, 2, starts=[two_rows, vortex_seed(GRID, 0)])
+    with pytest.raises(ValueError, match="empty"):
+        minimize_dm(spec, 2, starts=[])
+    assert log == []

@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from rotbec.errors import NotNormalized, Unstable
+from rotbec.errors import NoConvergence, NotNormalized, Unstable
 from rotbec.gp import (
     _Flow,
+    _starting_fields,
     chemical_potential,
     gp_energy,
     gp_gradient,
@@ -18,7 +19,7 @@ from rotbec.gp import (
 from rotbec.lattice import Field, Grid, norm, normalized
 from rotbec.model import HarmonicTrap, ModelSpec, RotationSpec, SampledTrap, apply_h0
 from rotbec.diagnostics import density_l1_distance
-from conftest import noise_field
+from conftest import logged_descend, noise_field
 
 
 GRID2 = Grid((8.0, 8.0), (48, 48))
@@ -339,6 +340,7 @@ def test_concurrent_restarts_change_no_bit(monkeypatch, points):
     for a, b in zip(serial, threaded):
         assert a.energy == b.energy and a.iterations == b.iterations
         assert a.restarts_used == b.restarts_used == 5
+        assert a.restarts == b.restarts
         assert np.array_equal(a.phi.values, b.phi.values)
 
 
@@ -359,3 +361,50 @@ def test_restarts_restore_blas_threads(monkeypatch, blas_counts, cpus):
         _family_with_cpus(monkeypatch, cpus, harmonic_spec(), restarts=2)
     assert inside and all(c == {**before, "numpy": 1} for c in inside)
     assert blas_counts() == before
+
+
+def test_restart_records_follow_start_order(monkeypatch):
+    spec = harmonic_spec(2.0, 0.5)
+    starts = _starting_fields(spec.grid, 2, 3)
+    descend, log = logged_descend()
+    monkeypatch.setattr(_Flow, "descend", descend)
+    family = _family_with_cpus(monkeypatch, 2, spec, tol=1e-7, max_iter=3000,
+                               restarts=2, seed=3)
+    records = family[0].restarts
+    assert [r.start for r in records] == [f"vortex q={q}" for q in range(4)] + ["noise"] * 2
+    # the calls may finish in any order; the records follow the starts
+    for (_, psi0), rec in zip(starts, records):
+        assert [iters for start, iters, _ in log if np.array_equal(start, psi0)] == \
+            [rec.applications]
+    assert all(r.restarts is records and r.restarts_used == 6 for r in family)
+    assert sorted((r.iterations, r.residual) for r in family) == \
+        sorted((r.applications, r.residual) for r in records if r.ok)
+
+
+def test_failed_restart_is_recorded(monkeypatch):
+    starts = [vortex_seed(GRID2, q) for q in range(3)]
+    descend, log = logged_descend(fail=starts[1])
+    monkeypatch.setattr(_Flow, "descend", descend)
+    family = minimize_gp_family(harmonic_spec(2.0), tol=1e-7, max_iter=3000, starts=starts)
+    records = family[0].restarts
+    assert [(r.start, r.ok) for r in records] == [("given", True), ("given", False),
+                                                  ("given", True)]
+    assert len(family) == 2 and all(r.restarts_used == 3 for r in family)
+    assert sum(r.applications for r in records) == sum(iters for _, iters, _ in log)
+
+
+def test_no_converged_restart_names_the_count():
+    with pytest.raises(NoConvergence, match="none of 5 restarts") as info:
+        minimize_gp_family(harmonic_spec(2.0), max_iter=1, restarts=1)
+    assert info.value.iterations == 1
+
+
+def test_explicit_starts_checked_before_descent(monkeypatch):
+    descend, log = logged_descend()
+    monkeypatch.setattr(_Flow, "descend", descend)
+    spec = harmonic_spec(2.0)
+    with pytest.raises(ValueError, match="shape"):
+        minimize_gp_family(spec, starts=[vortex_seed(GRID2, 0), np.ones((24, 24))])
+    with pytest.raises(ValueError, match="empty"):
+        minimize_gp_family(spec, starts=[])
+    assert log == []
