@@ -14,16 +14,16 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import diagnostics
 from .dm import minimize_dm
-from .errors import ConfigError, NoConvergence, Unstable
+from .errors import ConfigError, InvalidState, NoConvergence, NonFiniteScatteringLength, Unstable
 from .gp import minimize_gp_family
-from .lattice import Grid, limit_threads, write_field_raw, write_field_text
+from .lattice import Grid, atomic_open, limit_threads, write_field_raw, write_field_text
 from .manybody import coherent_state_checks, gp_limit_scan
 from .model import HarmonicTrap, ModelSpec, QuarticTrap, RotationSpec, SampledTrap
 from .scatter import (
@@ -47,23 +47,48 @@ _SCHEMA = {
                  "radial_points", "angular_points"},
     "scatter": {"potential", "scales", "born_a_values"},
 }
-_TRAP_KEYS = {
-    "harmonic": {"kind", "nu"},
-    "quartic": {"kind", "nu", "lambda"},
-    "sampled": {"kind", "values_file"},
+# kind -> (constructor, argument keys); a trap's constructor takes the grid first
+_TRAPS = {
+    "harmonic": (lambda grid, nu: HarmonicTrap(nu), ("nu",)),
+    "quartic": (lambda grid, nu, lam: QuarticTrap(nu, lam), ("nu", "lambda")),
+    "sampled": (lambda grid, path: SampledTrap(np.loadtxt(path).reshape(grid.shape)),
+                ("values_file",)),
 }
-_POTENTIAL_KEYS = {
-    "hard_sphere": {"kind", "radius"},
-    "square_well": {"kind", "depth", "radius"},
-    "gaussian": {"kind", "amplitude", "width"},
-    "soft_shell": {"kind", "r_inner", "r_outer"},
+_POTENTIALS = {
+    "hard_sphere": (HardSphere, ("radius",)),
+    "square_well": (SquareWell, ("depth", "radius")),
+    "gaussian": (GaussianBump, ("amplitude", "width")),
+    "soft_shell": (SoftShell, ("r_inner", "r_outer")),
 }
+
+
+@contextmanager
+def _reading(where):
+    """Report a bad value met while reading ``where`` as a ConfigError (exit 2).
+
+    Only conversions and input construction run inside, never a solve, so
+    an error raised by a solver keeps its own exit code.
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"bad value in {where}: {type(exc).__name__}: {exc}") from exc
 
 
 def _check_keys(mapping, allowed, where):
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _check_kind(obj, table, where):
+    """An object with a known ``kind`` and exactly the keys that kind takes."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{where} must be an object with kind in {sorted(table)}")
+    keys = {"kind", *table[kind][1]}
+    if set(obj) != keys:
+        raise ConfigError(f"{where} of kind {kind!r} takes the keys {sorted(keys)}")
 
 
 def load_config(path):
@@ -84,18 +109,10 @@ def load_config(path):
             if not isinstance(cfg[section], dict):
                 raise ConfigError(f"section {section!r} must be an object")
             _check_keys(cfg[section], keys, section)
-    if "model" in cfg and "trap" in cfg["model"]:
-        trap = cfg["model"]["trap"]
-        kind = trap.get("kind")
-        if kind not in _TRAP_KEYS:
-            raise ConfigError(f"unknown trap kind {kind!r}")
-        _check_keys(trap, _TRAP_KEYS[kind], "model.trap")
-    if "scatter" in cfg and "potential" in cfg["scatter"]:
-        pot = cfg["scatter"]["potential"]
-        kind = pot.get("kind")
-        if kind not in _POTENTIAL_KEYS:
-            raise ConfigError(f"unknown potential kind {kind!r}")
-        _check_keys(pot, _POTENTIAL_KEYS[kind], "scatter.potential")
+    if "trap" in cfg.get("model", {}):
+        _check_kind(cfg["model"]["trap"], _TRAPS, "model.trap")
+    if "potential" in cfg.get("scatter", {}):
+        _check_kind(cfg["scatter"]["potential"], _POTENTIALS, "scatter.potential")
     # outputs decides where files go and which are written, never their
     # contents, so it stays out of the hash
     hashed = {k: v for k, v in cfg.items() if k != "outputs"}
@@ -106,24 +123,13 @@ def load_config(path):
 
 
 def build_model(cfg):
-    try:
+    with _reading("model"):
         m = cfg["model"]
         dim = int(m["dim"])
         grid = Grid(_per_axis(m["half_width"], dim), _per_axis(m["points"], dim))
-        trap_cfg = m["trap"]
-        kind = trap_cfg["kind"]
-        if kind == "harmonic":
-            trap = HarmonicTrap(trap_cfg["nu"])
-        elif kind == "quartic":
-            trap = QuarticTrap(trap_cfg["nu"], trap_cfg["lambda"])
-        else:
-            trap = SampledTrap(np.loadtxt(trap_cfg["values_file"]).reshape(grid.shape))
-        rotation = RotationSpec(m["omega"])
-        return ModelSpec(grid, trap, rotation, float(m["g"]))
-    except Unstable:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model section: {exc}") from exc
+        make_trap, keys = _TRAPS[m["trap"]["kind"]]
+        trap = make_trap(grid, *(m["trap"][k] for k in keys))
+        return ModelSpec(grid, trap, RotationSpec(m["omega"]), float(m["g"]))
 
 
 def _per_axis(value, dim):
@@ -133,13 +139,19 @@ def _per_axis(value, dim):
 
 
 def solver_options(cfg):
-    s = dict(cfg.get("solver", {}))
-    return {
-        "tol": float(s.get("tol", 1e-8)),
-        "max_iter": int(s.get("max_iter", 200000)),
-        "restarts": int(s.get("restarts", 4)),
-        "seed": int(s.get("seed", 0)),
-    }
+    with _reading("solver"):
+        s = cfg.get("solver", {})
+        return {
+            "tol": float(s.get("tol", 1e-8)),
+            "max_iter": int(s.get("max_iter", 200000)),
+            "restarts": int(s.get("restarts", 4)),
+            "seed": int(s.get("seed", 0)),
+        }
+
+
+def _dm_rank(cfg):
+    with _reading("dm"):
+        return int(cfg.get("dm", {}).get("rank", 2))
 
 
 def sig12(x):
@@ -149,33 +161,20 @@ def sig12(x):
     return float(f"{float(x):.12g}")
 
 
-def _atomic_write(path, data, mode="w"):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-rotbec-")
-    try:
-        with os.fdopen(fd, mode) as fh:
-            fh.write(data)
-        os.chmod(tmp, 0o644)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_json(path, payload, digest, seed):
     payload = dict(payload)
     payload["config_hash"] = digest
     payload["seed"] = seed
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path, header, rows, digest, seed):
     lines = [f"# config_hash={digest} seed={seed}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_csv_cell(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    with atomic_open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _csv_cell(v):
@@ -218,31 +217,37 @@ def _emit_field_artifacts(outdir, stem, phi, cfg, digest, seed):
         )
 
 
-def cmd_gp_min(cfg, digest, outdir):
-    spec = build_model(cfg)
-    opts = solver_options(cfg)
+def _gp_point(spec, opts):
+    """GP family, the vortex report of its best member, and s (axisymmetric only)."""
     family = minimize_gp_family(spec, **opts)
     best = family[0]
     report = diagnostics.detect_vortices(best.phi)
+    s_metric = (
+        diagnostics.symmetry_breaking_metric(best.phi) if spec.is_axisymmetric else None
+    )
+    return family, report, s_metric
+
+
+def cmd_gp_min(cfg, digest, outdir, workers):
+    spec = build_model(cfg)
+    opts = solver_options(cfg)
+    family, report, s_metric = _gp_point(spec, opts)
+    best = family[0]
     payload = _gp_payload(best)
     payload["vortex_count"] = report.count
     payload["total_winding"] = report.total_winding
     payload["Lz"] = sig12(report.Lz_expectation)
-    if spec.is_axisymmetric:
-        payload["s_metric"] = sig12(diagnostics.symmetry_breaking_metric(best.phi))
+    if s_metric is not None:
+        payload["s_metric"] = sig12(s_metric)
     write_json(os.path.join(outdir, "gp_result.json"), payload, digest, opts["seed"])
     _emit_field_artifacts(outdir, "gp_phi", best.phi, cfg, digest, opts["seed"])
     return 0
 
 
-def cmd_dm_min(cfg, digest, outdir):
+def cmd_dm_min(cfg, digest, outdir, workers):
     spec = build_model(cfg)
     opts = solver_options(cfg)
-    rank = int(cfg.get("dm", {}).get("rank", 2))
-    result = minimize_dm(
-        spec, rank, tol=opts["tol"], max_iter=opts["max_iter"],
-        restarts=opts["restarts"], seed=opts["seed"],
-    )
+    result = minimize_dm(spec, _dm_rank(cfg), **opts)
     payload = {
         "energy": sig12(result.energy),
         "weights": [sig12(w) for w in result.state.weights],
@@ -257,113 +262,86 @@ def cmd_dm_min(cfg, digest, outdir):
     return 0
 
 
-def sweep_point(cfg, parameter, value):
-    """One sweep point: GP minimization, diagnostics, DM gap."""
+def sweep_point(job):
+    """One (cfg, parameter, value) sweep job: GP minimization, diagnostics, DM gap.
+
+    Returns the job's ``sweep.csv`` row.
+    """
+    cfg, parameter, value = job
     cfg = json.loads(json.dumps(cfg))  # deep copy
-    if parameter == "g":
-        cfg["model"]["g"] = value
-    else:
-        cfg["model"]["omega"] = value
+    cfg["model"]["g" if parameter == "g" else "omega"] = value
     spec = build_model(cfg)
     opts = solver_options(cfg)
-    family = minimize_gp_family(spec, **opts)
+    family, report, s_metric = _gp_point(spec, opts)
     best = family[0]
-    report = diagnostics.detect_vortices(best.phi)
-    s_metric = (
-        diagnostics.symmetry_breaking_metric(best.phi) if spec.is_axisymmetric else None
-    )
     sym = diagnostics.minimizer_family_analysis(family)
-    rank = int(cfg.get("dm", {}).get("rank", 2))
     dm_result = minimize_dm(
-        spec, rank, tol=max(opts["tol"], 1e-7), max_iter=opts["max_iter"],
+        spec, _dm_rank(cfg), tol=max(opts["tol"], 1e-7), max_iter=opts["max_iter"],
         restarts=0, seed=opts["seed"], seed_fields=[best.phi],
     )
-    return {
-        "value": value,
-        "energy": best.energy,
-        "mu": best.mu,
-        "vortex_count": report.count,
-        "total_winding": report.total_winding,
-        "Lz": report.Lz_expectation,
-        "s_metric": s_metric,
-        "n_clusters": sym.n_distinct_minimizers,
-        "e_dm": dm_result.energy,
-        "dm_gap": dm_result.energy - best.energy,
-    }
-
-
-def _sweep_worker(args):
-    cfg, parameter, value = args
-    return sweep_point(cfg, parameter, value)
+    return [sig12(value), sig12(best.energy), sig12(best.mu), report.count,
+            report.total_winding, sig12(report.Lz_expectation), sig12(s_metric),
+            sym.n_distinct_minimizers, sig12(dm_result.energy),
+            sig12(dm_result.energy - best.energy)]
 
 
 def cmd_sweep(cfg, digest, outdir, workers):
-    if "sweep" not in cfg:
-        raise ConfigError("sweep subcommand needs a sweep section")
-    parameter = cfg["sweep"].get("parameter")
-    if parameter not in ("g", "omega_z"):
-        raise ConfigError("sweep parameter must be 'g' or 'omega_z'")
-    values = cfg["sweep"].get("values")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep values must be a nonempty list")
-    jobs = [(cfg, parameter, float(v)) for v in values]
+    sweep = cfg.get("sweep", {})
+    parameter, values = sweep.get("parameter"), sweep.get("values")
+    if parameter not in ("g", "omega_z") or not isinstance(values, list) or not values:
+        raise ConfigError("sweep needs parameter 'g' or 'omega_z' and a nonempty values list")
+    with _reading("sweep"):
+        jobs = [(cfg, parameter, float(v)) for v in values]
+    seed = solver_options(cfg)["seed"]
     workers = min(workers, len(jobs))  # a fork pool starts all its workers at once
     if workers > 1:
         # one thread per worker process: k workers on k cores, not k x k
         with ProcessPoolExecutor(max_workers=workers, initializer=limit_threads,
                                  initargs=(1,)) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
+            rows = list(pool.map(sweep_point, jobs))
     else:
-        rows = [_sweep_worker(j) for j in jobs]
+        rows = [sweep_point(j) for j in jobs]
     header = [parameter, "energy", "mu", "vortex_count", "total_winding",
               "Lz", "s_metric", "n_clusters", "e_dm", "dm_gap"]
-    table = [
-        [
-            sig12(r["value"]), sig12(r["energy"]), sig12(r["mu"]),
-            r["vortex_count"], r["total_winding"], sig12(r["Lz"]),
-            sig12(r["s_metric"]) if r["s_metric"] is not None else None,
-            r["n_clusters"], sig12(r["e_dm"]), sig12(r["dm_gap"]),
-        ]
-        for r in rows
-    ]
-    write_csv(os.path.join(outdir, "sweep.csv"), header, table, digest,
-              solver_options(cfg)["seed"])
+    write_csv(os.path.join(outdir, "sweep.csv"), header, rows, digest, seed)
     return 0
 
 
-def cmd_fock(cfg, digest, outdir):
+def cmd_fock(cfg, digest, outdir, workers):
     spec = build_model(cfg)
-    f = cfg.get("fock", {})
-    rows = gp_limit_scan(
-        spec,
-        int(f.get("modes", 4)),
-        float(f.get("g", 0.5)),
-        [int(n) for n in f.get("n_values", [2, 4, 6, 8])],
-        pair_kind=f.get("pair", "delta"),
-        with_absolute=bool(f.get("with_absolute", False)),
-    )
+    seed = solver_options(cfg)["seed"]
+    with _reading("fock"):
+        f = cfg.get("fock", {})
+        modes, g = int(f.get("modes", 4)), float(f.get("g", 0.5))
+        n_values = [int(n) for n in f.get("n_values", [2, 4, 6, 8])]
+        with_absolute = bool(f.get("with_absolute", False))
+    rows = gp_limit_scan(spec, modes, g, n_values, pair_kind=f.get("pair", "delta"),
+                         with_absolute=with_absolute)
     header = ["N", "a", "E0_over_N", "E_gp_truncated", "condensate_fraction", "E_abs"]
     table = [
         [r.N, sig12(r.a), sig12(r.E0_over_N), sig12(r.E_gp_truncated),
-         sig12(r.condensate_fraction), sig12(r.E_abs) if r.E_abs is not None else None]
+         sig12(r.condensate_fraction), sig12(r.E_abs)]
         for r in rows
     ]
-    write_csv(os.path.join(outdir, "fock.csv"), header, table, digest,
-              solver_options(cfg)["seed"])
+    write_csv(os.path.join(outdir, "fock.csv"), header, table, digest, seed)
     return 0
 
 
-def cmd_coherent(cfg, digest, outdir):
-    c = cfg.get("coherent", {})
-    z = c.get("z", [1.0, 1.0])
-    report = coherent_state_checks(
-        D=int(c.get("truncation", 64)),
-        z=complex(float(z[0]), float(z[1])),
-        Z=float(c.get("quad_radius", 8.0)),
-        n_max=int(c.get("n_max", 8)),
-        radial_points=int(c.get("radial_points", 128)),
-        angular_points=int(c.get("angular_points", 256)),
-    )
+def cmd_coherent(cfg, digest, outdir, workers):
+    seed = solver_options(cfg)["seed"]
+    # coherent_state_checks checks its inputs, then runs closed-form
+    # quadratures (no solve), so a ValueError from it is a bad value
+    with _reading("coherent"):
+        c = cfg.get("coherent", {})
+        z = c.get("z", [1.0, 1.0])
+        report = coherent_state_checks(
+            D=int(c.get("truncation", 64)),
+            z=complex(float(z[0]), float(z[1])),
+            Z=float(c.get("quad_radius", 8.0)),
+            n_max=int(c.get("n_max", 8)),
+            radial_points=int(c.get("radial_points", 128)),
+            angular_points=int(c.get("angular_points", 256)),
+        )
     payload = {
         "annihilation_error": sig12(report.annihilation_error),
         "number_error": sig12(report.number_error),
@@ -371,43 +349,31 @@ def cmd_coherent(cfg, digest, outdir):
         "upper_symbol_error": sig12(report.upper_symbol_error),
         "shifted_number_error": sig12(report.shifted_number_error),
     }
-    write_json(os.path.join(outdir, "coherent.json"), payload, digest,
-               solver_options(cfg)["seed"])
+    write_json(os.path.join(outdir, "coherent.json"), payload, digest, seed)
     return 0
 
 
-def _build_potential(cfg):
-    pot = cfg.get("scatter", {}).get("potential")
-    if pot is None:
-        raise ConfigError("scatter subcommand needs scatter.potential")
-    kind = pot["kind"]
-    if kind == "hard_sphere":
-        return HardSphere(float(pot["radius"]))
-    if kind == "square_well":
-        return SquareWell(float(pot["depth"]), float(pot["radius"]))
-    if kind == "gaussian":
-        return GaussianBump(float(pot["amplitude"]), float(pot["width"]))
-    return SoftShell(float(pot["r_inner"]), float(pot["r_outer"]))
-
-
-def cmd_scatter(cfg, digest, outdir):
-    v = _build_potential(cfg)
+def cmd_scatter(cfg, digest, outdir, workers):
     seed = solver_options(cfg)["seed"]
     s = cfg.get("scatter", {})
+    if "potential" not in s:
+        raise ConfigError("scatter subcommand needs scatter.potential")
+    with _reading("scatter"):
+        make_potential, keys = _POTENTIALS[s["potential"]["kind"]]
+        v = make_potential(*(float(s["potential"][k]) for k in keys))
+        scaled = [(float(a), scale_potential(v, float(a))) for a in s.get("scales") or []]
+        born_values = [float(a) for a in s.get("born_a_values") or []]
+    if born_values and not isinstance(v, SoftShell):
+        raise ConfigError("born_a_values requires a soft_shell potential")
     payload = {"scattering_length": sig12(scattering_length(v))}
-    scales = s.get("scales")
-    if scales:
+    if scaled:
         payload["scaled"] = [
-            {"scale": sig12(float(a)),
-             "scattering_length": sig12(scattering_length(scale_potential(v, float(a))))}
-            for a in scales
+            {"scale": sig12(a), "scattering_length": sig12(scattering_length(va))}
+            for a, va in scaled
         ]
     write_json(os.path.join(outdir, "scatter.json"), payload, digest, seed)
-    born_values = s.get("born_a_values")
     if born_values:
-        if not isinstance(v, SoftShell):
-            raise ConfigError("born_a_values requires a soft_shell potential")
-        rows = born_check(v, [float(a) for a in born_values])
+        rows = born_check(v, born_values)
         write_csv(
             os.path.join(outdir, "born.csv"),
             ["a", "s_of_a", "rel_deviation"],
@@ -417,14 +383,23 @@ def cmd_scatter(cfg, digest, outdir):
     return 0
 
 
+_COMMANDS = {
+    "gp-min": cmd_gp_min,
+    "dm-min": cmd_dm_min,
+    "sweep": cmd_sweep,
+    "fock": cmd_fock,
+    "coherent": cmd_coherent,
+    "scatter": cmd_scatter,
+}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="rotbec",
         description="Ground states of rotating dilute Bose gases: "
                     "GP/DM minimization, vortex diagnostics, many-body checks.",
     )
-    parser.add_argument("subcommand",
-                        choices=["gp-min", "dm-min", "sweep", "fock", "coherent", "scatter"])
+    parser.add_argument("subcommand", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel sweep workers (default: ROTBEC_WORKERS or 1)")
@@ -433,28 +408,19 @@ def main(argv=None):
     try:
         workers = args.workers
         if workers is None:
-            try:
+            with _reading("ROTBEC_WORKERS"):
                 workers = int(os.environ.get("ROTBEC_WORKERS", "1"))
-            except ValueError as exc:
-                raise ConfigError(f"ROTBEC_WORKERS is not an integer: {exc}") from exc
         cfg, digest = load_config(args.config)
-        outdir = cfg.get("outputs", {}).get("directory", ".")
-        os.makedirs(outdir, exist_ok=True)
+        with _reading("outputs"):
+            outdir = cfg.get("outputs", {}).get("directory", ".")
+            os.makedirs(outdir, exist_ok=True)
         if args.verbose:
             print(f"rotbec {args.subcommand}: config {digest}, outputs in {outdir}",
                   file=sys.stderr)
-        if args.subcommand == "gp-min":
-            return cmd_gp_min(cfg, digest, outdir)
-        if args.subcommand == "dm-min":
-            return cmd_dm_min(cfg, digest, outdir)
-        if args.subcommand == "sweep":
-            return cmd_sweep(cfg, digest, outdir, workers)
-        if args.subcommand == "fock":
-            return cmd_fock(cfg, digest, outdir)
-        if args.subcommand == "coherent":
-            return cmd_coherent(cfg, digest, outdir)
-        return cmd_scatter(cfg, digest, outdir)
-    except ConfigError as exc:
+        return _COMMANDS[args.subcommand](cfg, digest, outdir, workers)
+    except (ConfigError, InvalidState, NonFiniteScatteringLength) as exc:
+        # InvalidState: an input outside the library's invariants (rank, N, M);
+        # NonFiniteScatteringLength: the configured potential is at resonance
         print(f"rotbec: config error: {exc}", file=sys.stderr)
         return 2
     except NoConvergence as exc:

@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.special import j0
 
 from .errors import NotAxisymmetricTrap
-from .lattice import fftn
+from .lattice import atomic_open, fftn
 from .model import angular_momentum_z
 
 
@@ -201,6 +201,6 @@ def write_pgm(path, values, kind="density", comment=""):
     if comment:
         header += f"# {comment}\n"
     header += f"{a.shape[1]} {a.shape[0]}\n65535\n"
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header.encode())
         fh.write(img.tobytes())

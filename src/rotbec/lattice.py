@@ -14,6 +14,7 @@ import ctypes
 import glob
 import importlib
 import os
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -24,10 +25,9 @@ from scipy import fft as _fft
 # Thread policy.  A transform with fewer than THREADED_SIZE elements runs on
 # one thread (at 96^2 a second scipy.fft thread gains nothing); the cores
 # go instead to whole solver restarts running side by side (gp.py).  Larger
-# transforms get _FFT_WORKERS threads.  scipy.fft gives the same bits for
+# transforms get thread_budget() threads.  scipy.fft gives the same bits for
 # any thread count.
 THREADED_SIZE = 1 << 17
-_FFT_WORKERS = -1  # scipy.fft threads for large transforms; -1 = all cores
 _THREAD_BUDGET = None  # threads this process may keep busy; None = usable CPUs
 
 
@@ -42,7 +42,7 @@ def ifftn(values, dim=None):
 
 
 def _workers(values):
-    return 1 if values.size < THREADED_SIZE else _FFT_WORKERS
+    return 1 if values.size < THREADED_SIZE else thread_budget()
 
 
 def thread_budget():
@@ -60,8 +60,8 @@ def limit_threads(n):
     For pool workers, so that k processes do not each start one thread per
     core.  BLAS keeps its own setting outside ``blas_threads`` regions.
     """
-    global _FFT_WORKERS, _THREAD_BUDGET
-    _FFT_WORKERS = _THREAD_BUDGET = n
+    global _THREAD_BUDGET
+    _THREAD_BUDGET = n
 
 
 # The wheels bundle two OpenBLAS copies, each with its own thread count:
@@ -294,6 +294,27 @@ def _fmt(x):
     return repr(x)
 
 
+@contextmanager
+def atomic_open(path, mode):
+    """Write ``path`` through a temp file beside it, renamed into place on exit.
+
+    On an exception the temp file is removed and ``path`` is left untouched,
+    so a reader never sees a half-written output.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-rotbec-")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+        os.chmod(tmp, 0o644)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_field_text(path, f, extra=""):
     """Dump as header line plus 're,im' CSV rows in row-major order.
 
@@ -302,7 +323,7 @@ def write_field_text(path, f, extra=""):
     """
     flat = f.values.reshape(-1)
     header = f.grid.header() + ((" " + extra) if extra else "")
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         fh.write(header + "\n")
         for v in flat:
             fh.write(f"{float(v.real)!r},{float(v.imag)!r}\n")
@@ -319,12 +340,13 @@ def read_field_text(path):
 def write_field_raw(path, f, extra=""):
     """Dump raw little-endian float64 (re, im) pairs; header in a sidecar file."""
     header = f.grid.header() + ((" " + extra) if extra else "")
-    with open(str(path) + ".hdr", "w") as fh:
+    with atomic_open(str(path) + ".hdr", "w") as fh:
         fh.write(header + "\n")
     pairs = np.empty(f.values.size * 2)
     pairs[0::2] = f.values.real.reshape(-1)
     pairs[1::2] = f.values.imag.reshape(-1)
-    pairs.astype("<f8").tofile(path)
+    with atomic_open(path, "wb") as fh:
+        fh.write(pairs.astype("<f8").tobytes())
 
 
 def read_field_raw(path):

@@ -508,8 +508,10 @@ def gp_limit_scan(spec, M, g, N_list, pair_kind="delta", with_absolute=False,
     """
     from .model import lowest_eigenpairs
 
-    if any(N < 2 or N > 10 for N in N_list):
-        raise InvalidState("N values must lie in [2, 10]")
+    if not 1 <= M <= 6 or any(N < 2 or N > 10 for N in N_list):
+        raise InvalidState("the mode count must lie in [1, 6] and N values in [2, 10]")
+    if pair_kind not in ("delta", "gaussian"):
+        raise InvalidState(f"pair kind must be 'delta' or 'gaussian', got {pair_kind!r}")
     if modes is None:
         pairs = lowest_eigenpairs(spec, M)
     else:
@@ -587,6 +589,8 @@ def coherent_state_checks(D=64, z=1 + 1j, Z=8.0, n_max=8,
         raise ValueError("truncation must be at least 32")
     if abs(z) > Z / 4:
         raise ValueError("test amplitude must satisfy |z| <= Z/4")
+    if n_max < 0 or radial_points < 1 or angular_points < 1:
+        raise ValueError("n_max must be >= 0 and the quadrature point counts >= 1")
     a_mat = annihilation_matrix(D)
     v = coherent_vector(z, D)
     lower_a = np.vdot(v, a_mat @ v)

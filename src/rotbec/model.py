@@ -214,6 +214,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.g < 0:
             raise ValueError("coupling g must be nonnegative")
+        if self.grid.dim == 2 and any(self.rotation.omega[:2]):
+            raise ValueError("a 2D grid allows only the out-of-plane rotation component")
         if isinstance(self.trap, (HarmonicTrap, QuarticTrap)):
             _axis_frequencies(self.trap.nu, self.grid.dim)  # raises on a count mismatch
         result = check_stability(self.trap, self.rotation, self.grid)

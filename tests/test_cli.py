@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -51,6 +52,65 @@ def test_frequency_count_mismatch_is_config_error(tmp_path, trap):
     path = tmp_path / "cfg.json"
     write_config(path, model={"dim": 3, "points": 16, "trap": trap})
     assert main(["gp-min", "--config", str(path)]) == 2
+
+
+_HARMONIC_16 = {"dim": 2, "half_width": 6.0, "points": 16,
+                "trap": {"kind": "harmonic", "nu": [1.0, 1.0]}, "omega": 0.0, "g": 0.0}
+_SOFT_SHELL = {"kind": "soft_shell", "r_inner": 0.5, "r_outer": 1.0}
+
+
+@pytest.mark.parametrize("subcommand, overrides", [
+    ("gp-min", {"model": {"trap": "harmonic"}}),
+    ("gp-min", {"model": {"trap": {"kind": "sampled", "values_file": "no/such/file.txt"}}}),
+    ("scatter", {"scatter": {"potential": {"kind": "hard_sphere"}}}),
+    ("scatter", {"scatter": {"potential": {"kind": "soft_shell", "r_inner": 1.0,
+                                           "r_outer": 1.0}}}),
+    ("fock", {"model": _HARMONIC_16, "fock": {"modes": 2, "n_values": [1]}}),
+    ("fock", {"model": _HARMONIC_16, "fock": {"modes": 7, "n_values": [2]}}),
+    ("coherent", {"coherent": {"truncation": 8}}),
+    ("gp-min", {"solver": {"restarts": "x"}}),
+    ("dm-min", {"dm": {"rank": 9}}),
+    ("sweep", {"sweep": {"parameter": "g", "values": ["a"]}}),
+    ("scatter", {"scatter": {"potential": _SOFT_SHELL, "scales": [-1]}}),
+    ("scatter", {"scatter": {"potential": {"kind": "square_well", "depth": -math.pi**2 / 2,
+                                           "radius": 1.0}}}),
+    ("gp-min", {"model": {"omega": [0.7, 0.0, 0.0]}}),
+    ("fock", {"model": _HARMONIC_16, "fock": {"modes": 2, "n_values": [2], "pair": "dipole"}}),
+    ("fock", {"model": _HARMONIC_16, "fock": {"modes": 0, "n_values": [2]}}),
+    ("coherent", {"coherent": {"radial_points": 0}}),
+], ids=["trap-not-object", "sampled-file-missing", "hard-sphere-no-radius",
+        "soft-shell-empty", "fock-N-1", "fock-M-7", "coherent-D-8", "restarts-not-int",
+        "dm-rank-9", "sweep-value-not-number", "scale-negative", "square-well-resonance",
+        "in-plane-omega-2d", "fock-pair-unknown", "fock-M-0",
+        "coherent-no-radial-points"])
+def test_bad_value_exits_2_with_one_line(tmp_path, capsys, subcommand, overrides):
+    path = tmp_path / "cfg.json"
+    write_config(path, **overrides)
+    assert main([subcommand, "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rotbec: config error: "), err
+
+
+def test_solver_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise ValueError("inside the solve")
+
+    monkeypatch.setattr(rotbec.cli, "minimize_gp_family", failing)
+    path = tmp_path / "cfg.json"
+    write_config(path)
+    with pytest.raises(ValueError, match="inside the solve"):
+        main(["gp-min", "--config", str(path)])
+
+
+def test_sampled_trap_runs(tmp_path):
+    values = tmp_path / "trap.txt"
+    x = (np.arange(32) + 0.5) * 0.5 - 8.0
+    np.savetxt(values, x[:, None] ** 2 + x[None, :] ** 2)
+    path = tmp_path / "cfg.json"
+    write_config(path, model={"trap": {"kind": "sampled", "values_file": str(values)}})
+    assert main(["gp-min", "--config", str(path)]) == 0
+    payload = json.loads((tmp_path / "out" / "gp_result.json").read_text())
+    assert abs(payload["energy"] - 2.0) < 1e-6
 
 
 def test_config_hash_ignores_outputs(tmp_path):

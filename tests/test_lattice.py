@@ -2,6 +2,7 @@ import glob
 import importlib
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import rotbec.lattice
 from rotbec.lattice import (
     THREADED_SIZE,
     Field,
+    atomic_open,
     Grid,
     fftn,
     gradient_spectral,
@@ -170,6 +172,19 @@ def test_field_dump_roundtrip(tmp_path):
     assert header.startswith("ROTBEC-FIELD v1 dim=2 n=16,24 L=3,4")
 
 
+def test_atomic_writes_leave_nothing_on_failure(tmp_path):
+    g = Grid((3.0, 3.0), (8, 8))
+    values = np.full(g.shape, 1 + 0j, dtype=object)
+    values[4, 4] = "not a number"  # the text writer fails after 36 rows
+    with pytest.raises(AttributeError):
+        write_field_text(tmp_path / "field.csv", SimpleNamespace(grid=g, values=values))
+    with pytest.raises(OSError, match="disk full"):
+        with atomic_open(tmp_path / "field.raw", "wb") as fh:
+            fh.write(b"half a field")
+            raise OSError("disk full")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("shape, dim", [
     ((32, 32), None),          # field below THREADED_SIZE
     ((4, 32, 32), 2),          # stack below
@@ -190,15 +205,18 @@ def test_transforms_match_all_core_scipy_bitwise(shape, dim):
 def test_limit_threads_holds_large_transforms_and_budget(monkeypatch):
     from scipy import fft
 
-    monkeypatch.setattr(rotbec.lattice, "_FFT_WORKERS", rotbec.lattice._FFT_WORKERS)
-    monkeypatch.setattr(rotbec.lattice, "_THREAD_BUDGET", rotbec.lattice._THREAD_BUDGET)
+    # large transforms ask for the usable CPUs (the affinity mask, not
+    # os.cpu_count), and limit_threads holds both them and the budget
+    monkeypatch.setattr(rotbec.lattice, "_THREAD_BUDGET", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     seen = []
     monkeypatch.setattr(fft, "fftn", lambda *a, **kw: seen.append(kw["workers"]))
     a = np.zeros((64, 64, 64), dtype=complex)
     fftn(a)
+    assert thread_budget() == 3
     limit_threads(1)
     fftn(a)
-    assert seen == [-1, 1]
+    assert seen == [3, 1]
     assert thread_budget() == 1
 
 

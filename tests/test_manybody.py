@@ -396,6 +396,10 @@ def test_scan_trend_and_condensation(modes3):
 def test_scan_rejects_bad_particle_numbers(modes3):
     with pytest.raises(InvalidState):
         gp_limit_scan(harmonic_spec(), 3, 0.5, [1], modes=modes3)
+    # mode count and pair kind are checked before any mode is computed
+    for M, pair_kind in ((0, "delta"), (7, "delta"), (3, "dipole")):
+        with pytest.raises(InvalidState):
+            gp_limit_scan(harmonic_spec(), M, 0.5, [2], pair_kind=pair_kind)
 
 
 def test_coherent_vacuum():
@@ -442,3 +446,6 @@ def test_coherent_preconditions():
         coherent_state_checks(D=16)
     with pytest.raises(ValueError):
         coherent_state_checks(D=64, z=5 + 0j, Z=8.0)
+    for bad in ({"n_max": -1}, {"radial_points": 0}, {"angular_points": 0}):
+        with pytest.raises(ValueError):
+            coherent_state_checks(D=64, **bad)

@@ -74,6 +74,17 @@ def test_modelspec_rejects_frequency_count():
     ModelSpec(grid, QuarticTrap((1.0,), 0.1), RotationSpec(0.0), 0.0)
 
 
+def test_modelspec_rejects_in_plane_rotation_on_2d_grid():
+    # H0 on a 2D grid keeps only the z component, so an in-plane one would be
+    # dropped while the stability check still counted it
+    for omega in ((0.7, 0.0, 0.0), (0.0, 0.3, 0.5)):
+        with pytest.raises(ValueError, match="out-of-plane"):
+            ModelSpec(GRID2, HarmonicTrap((1.0, 1.0)), RotationSpec(omega), 0.0)
+    ModelSpec(GRID2, HarmonicTrap((1.0, 1.0)), RotationSpec((0.0, 0.0, 0.5)), 0.0)
+    grid = Grid((8.0,) * 3, (16,) * 3)
+    ModelSpec(grid, HarmonicTrap((1.0,) * 3), RotationSpec((0.3, 0.0, 0.5)), 0.0)
+
+
 def test_apply_h0_oscillator_ground_state_3d():
     grid = Grid((8.0,) * 3, (64,) * 3)
     spec = ModelSpec(grid, HarmonicTrap((1.0,) * 3), RotationSpec(0.0), 0.0)
@@ -180,7 +191,7 @@ def test_every_transform_uses_the_lattice_thread_setting(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(rotbec.lattice, "_FFT_WORKERS", 3)
+    monkeypatch.setattr(rotbec.lattice, "_THREAD_BUDGET", 3)
     monkeypatch.setattr(scipy.fft, "fftn", recording(scipy.fft.fftn))
     monkeypatch.setattr(scipy.fft, "ifftn", recording(scipy.fft.ifftn))
     big = Grid((7.0,) * 3, (64,) * 3)
