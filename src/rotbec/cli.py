@@ -20,7 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import diagnostics
-from .dm import minimize_dm
+from .dm import check_rank, minimize_dm
 from .errors import ConfigError, InvalidState, NoConvergence, NonFiniteScatteringLength, Unstable
 from .gp import minimize_gp_family
 from .lattice import Grid, atomic_open, limit_threads, write_field_raw, write_field_text
@@ -47,6 +47,8 @@ _SCHEMA = {
                  "radial_points", "angular_points"},
     "scatter": {"potential", "scales", "born_a_values"},
 }
+# (section, key) of every true/false option; absent means false
+_FLAGS = (("outputs", "emit_fields"), ("outputs", "emit_images"), ("fock", "with_absolute"))
 # kind -> (constructor, argument keys); a trap's constructor takes the grid first
 _TRAPS = {
     "harmonic": (lambda grid, nu: HarmonicTrap(nu), ("nu",)),
@@ -73,6 +75,14 @@ def _reading(where):
         yield
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"bad value in {where}: {type(exc).__name__}: {exc}") from exc
+
+
+def _flag(cfg, section, key):
+    """A true/false option (absent: false); any other value is a ConfigError."""
+    value = cfg.get(section, {}).get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{section}.{key} must be true or false, got {value!r}")
+    return value
 
 
 def _check_keys(mapping, allowed, where):
@@ -113,6 +123,8 @@ def load_config(path):
         _check_kind(cfg["model"]["trap"], _TRAPS, "model.trap")
     if "potential" in cfg.get("scatter", {}):
         _check_kind(cfg["scatter"]["potential"], _POTENTIALS, "scatter.potential")
+    for section, key in _FLAGS:
+        _flag(cfg, section, key)  # a bad flag fails here, before any solve
     # outputs decides where files go and which are written, never their
     # contents, so it stays out of the hash
     hashed = {k: v for k, v in cfg.items() if k != "outputs"}
@@ -151,7 +163,9 @@ def solver_options(cfg):
 
 def _dm_rank(cfg):
     with _reading("dm"):
-        return int(cfg.get("dm", {}).get("rank", 2))
+        rank = int(cfg.get("dm", {}).get("rank", 2))
+    check_rank(rank)
+    return rank
 
 
 def sig12(x):
@@ -202,12 +216,11 @@ def _gp_payload(result):
 
 
 def _emit_field_artifacts(outdir, stem, phi, cfg, digest, seed):
-    out = cfg.get("outputs", {})
     stamp = f"config_hash={digest} seed={seed}"
-    if out.get("emit_fields"):
+    if _flag(cfg, "outputs", "emit_fields"):
         write_field_text(os.path.join(outdir, stem + ".csv"), phi, extra=stamp)
         write_field_raw(os.path.join(outdir, stem + ".raw"), phi, extra=stamp)
-    if out.get("emit_images") and phi.grid.dim == 2:
+    if _flag(cfg, "outputs", "emit_images") and phi.grid.dim == 2:
         dens = phi.values.real**2 + phi.values.imag**2
         diagnostics.write_pgm(os.path.join(outdir, stem + "_density.pgm"), dens,
                               comment=stamp)
@@ -262,15 +275,21 @@ def cmd_dm_min(cfg, digest, outdir, workers):
     return 0
 
 
+def _point_model(job):
+    """The model of one (cfg, parameter, value) sweep job."""
+    cfg, parameter, value = job
+    cfg = json.loads(json.dumps(cfg))  # deep copy
+    cfg["model"]["g" if parameter == "g" else "omega"] = value
+    return build_model(cfg)
+
+
 def sweep_point(job):
     """One (cfg, parameter, value) sweep job: GP minimization, diagnostics, DM gap.
 
     Returns the job's ``sweep.csv`` row.
     """
-    cfg, parameter, value = job
-    cfg = json.loads(json.dumps(cfg))  # deep copy
-    cfg["model"]["g" if parameter == "g" else "omega"] = value
-    spec = build_model(cfg)
+    cfg, value = job[0], job[2]
+    spec = _point_model(job)
     opts = solver_options(cfg)
     family, report, s_metric = _gp_point(spec, opts)
     best = family[0]
@@ -292,6 +311,11 @@ def cmd_sweep(cfg, digest, outdir, workers):
         raise ConfigError("sweep needs parameter 'g' or 'omega_z' and a nonempty values list")
     with _reading("sweep"):
         jobs = [(cfg, parameter, float(v)) for v in values]
+    # a bad rank or a bad model at any point fails here, before the first
+    # solve; the points rebuild their models, so no spec outlives its point
+    _dm_rank(cfg)
+    for job in jobs:
+        _point_model(job)
     seed = solver_options(cfg)["seed"]
     workers = min(workers, len(jobs))  # a fork pool starts all its workers at once
     if workers > 1:
@@ -314,9 +338,8 @@ def cmd_fock(cfg, digest, outdir, workers):
         f = cfg.get("fock", {})
         modes, g = int(f.get("modes", 4)), float(f.get("g", 0.5))
         n_values = [int(n) for n in f.get("n_values", [2, 4, 6, 8])]
-        with_absolute = bool(f.get("with_absolute", False))
     rows = gp_limit_scan(spec, modes, g, n_values, pair_kind=f.get("pair", "delta"),
-                         with_absolute=with_absolute)
+                         with_absolute=_flag(cfg, "fock", "with_absolute"))
     header = ["N", "a", "E0_over_N", "E_gp_truncated", "condensate_fraction", "E_abs"]
     table = [
         [r.N, sig12(r.a), sig12(r.E0_over_N), sig12(r.E_gp_truncated),

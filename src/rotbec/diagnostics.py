@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.special import j0
 
 from .errors import NotAxisymmetricTrap
-from .lattice import atomic_open, fftn
+from .lattice import Grid, atomic_open, fftn
 from .model import angular_momentum_z
 
 
@@ -127,9 +127,7 @@ def symmetry_breaking_metric(phi, trap=None):
         raise NotAxisymmetricTrap("azimuthal metric needs an axisymmetric trap")
     vals = _transverse_slice(phi)
     if grid.dim == 3:
-        from .lattice import Grid as _Grid
-
-        grid = _Grid(grid.half_widths[:2], grid.points[:2])
+        grid = Grid(grid.half_widths[:2], grid.points[:2])
     dens = vals.real**2 + vals.imag**2
     x = grid.axis_coordinates(0)
     y = grid.axis_coordinates(1)

@@ -25,10 +25,15 @@ import numpy as np
 from .errors import InvalidState, NoConvergence
 from .gp import _Flow, _given_starts, gaussian_envelope, vortex_seed
 from .lattice import Field
-from .model import H0Action
 
 _ORTHO_TOL = 1e-10
 _SIMPLEX_TOL = 1e-12
+
+
+def check_rank(n):
+    """Raise InvalidState unless 1 <= n <= 8, the ranks the DM solvers take."""
+    if not 1 <= n <= 8:
+        raise InvalidState(f"rank must be between 1 and 8, got {n}")
 
 
 @dataclass
@@ -45,8 +50,7 @@ class DMState:
 
     def validate(self):
         n = self.rank
-        if not 1 <= n <= 8:
-            raise InvalidState(f"rank must be between 1 and 8, got {n}")
+        check_rank(n)
         if self.weights.shape != (n,):
             raise InvalidState("one weight per orbital required")
         if np.any(self.weights < -_SIMPLEX_TOL) or abs(self.weights.sum() - 1.0) > _SIMPLEX_TOL:
@@ -88,23 +92,23 @@ def dm_energy(spec, state):
     """Energy of a rank-n density-matrix state (validates the state)."""
     state.validate()
     block = np.stack([phi.values for phi in state.orbitals])
-    h, gmat = _orbital_terms(H0Action(spec), spec.g, block)
+    h, gmat = _orbital_terms(spec, block)
     lam = state.weights
     return float(lam @ h + lam @ gmat @ lam)
 
 
-def _orbital_terms(action, g, block):
+def _orbital_terms(spec, block):
     """Orbital energies <phi_i|H0|phi_i> and the interaction matrix.
 
     The energy of weights lam on the orthonormal stack ``block`` is
     lam.h + lam^T G lam with G_ij = 4 pi g int |phi_i|^2 |phi_j|^2.
     """
     n = block.shape[0]
-    dV = action.grid.cell_volume
-    h0block = action.apply_block(block)
+    dV = spec.grid.cell_volume
+    h0block = spec.h0.apply_block(block)
     h = np.array([float(np.vdot(block[i], h0block[i]).real) * dV for i in range(n)])
     dens = (block.real**2 + block.imag**2).reshape(n, -1)
-    gmat = (4.0 * math.pi * g * dV) * (dens @ dens.T)
+    gmat = (4.0 * math.pi * spec.g * dV) * (dens @ dens.T)
     return h, gmat
 
 
@@ -211,21 +215,19 @@ def minimize_dm(spec, n, tol=1e-7, max_iter=40000, restarts=2, seed=0,
     start list with explicit (n,)+grid stacks.  ``restarts`` of the result
     lists every start, converged or not.
     """
-    if not 1 <= n <= 8:
-        raise InvalidState(f"rank must be between 1 and 8, got {n}")
+    check_rank(n)
     if starts is None:
         starts = _dm_starts(spec.grid, n, restarts, seed, seed_fields)
     else:
         starts = _given_starts(starts, (n,) + spec.grid.shape, InvalidState)
-    flow = _Flow(spec)
-    stacks, records = flow.descend_all(starts, tol, max_iter)
+    stacks, records = _Flow(spec).descend_all(starts, tol, max_iter)
     best = None
     for stack, rec in zip(stacks, records):
         if not rec.ok:
             continue
         lam, block = _extract_state(spec, stack)
         # exact weight update with orbitals fixed; never increases energy
-        h, gmat = _orbital_terms(flow.action, spec.g, block)
+        h, gmat = _orbital_terms(spec, block)
         energy_before = float(lam @ h + lam @ gmat @ lam)
         lam2 = minimize_weights(h, gmat, lam)
         energy = float(lam2 @ h + lam2 @ gmat @ lam2)

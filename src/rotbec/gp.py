@@ -18,8 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import NoConvergence, NotNormalized
-from .lattice import THREADED_SIZE, Field, blas_threads, fftn, ifftn, thread_budget
-from .model import H0Action
+from .lattice import THREADED_SIZE, Field, blas_threads, thread_budget
 
 _NORM_TOL = 1e-8
 
@@ -78,7 +77,7 @@ def _require_normalized(phi):
 def gp_energy(spec, phi):
     """Term-by-term energy of a unit-norm field."""
     _require_normalized(phi)
-    kinetic, potential, rotational = H0Action(spec).energy_parts(phi.values)
+    kinetic, potential, rotational = spec.h0.energy_parts(phi.values)
     dens = phi.values.real**2 + phi.values.imag**2
     interaction = 4.0 * math.pi * spec.g * float(np.sum(dens**2)) * spec.grid.cell_volume
     return GPBreakdown(kinetic, potential, rotational, interaction)
@@ -86,8 +85,7 @@ def gp_energy(spec, phi):
 
 def gp_gradient(spec, phi):
     """Unconstrained functional derivative H0 phi + 8 pi g |phi|^2 phi."""
-    action = H0Action(spec)
-    out = action.apply(phi.values)
+    out = spec.h0.apply(phi.values)
     if spec.g:
         dens = phi.values.real**2 + phi.values.imag**2
         out += (8.0 * math.pi * spec.g) * dens * phi.values
@@ -123,11 +121,10 @@ class _Flow:
     """
 
     def __init__(self, spec):
-        self.action = H0Action(spec)
+        self.action = spec.h0
         self.dim = spec.grid.dim
         self.dV = spec.grid.cell_volume
         self.coeff = 8.0 * math.pi * spec.g
-        self.k2 = spec.grid.k2_mesh
 
     def _rowsum(self, a):
         return a.sum(axis=0) if a.ndim > self.dim else a
@@ -154,7 +151,7 @@ class _Flow:
         return _State(psi, e_h0 + e_int, e_h0, mu, dens, res, resnorm)
 
     def precondition(self, res, mu):
-        return ifftn(fftn(res, self.dim) / (max(1.0, abs(mu)) + self.k2), self.dim)
+        return self.action.precondition(res, max(1.0, abs(mu)))
 
     def hessian_apply(self, st, d):
         """Second-variation operator of the energy at st (tangent-projected).
@@ -165,8 +162,7 @@ class _Flow:
         out = self.action.apply(d) - st.mu * d
         if self.coeff:
             out = out + self.coeff * (st.dens * d + self._density_rate(st.psi, d) * st.psi)
-        out = out - st.psi * (np.vdot(st.psi, out) * self.dV)
-        return out
+        return self._tangent(st, out)
 
     def _tangent(self, st, v):
         return v - st.psi * (np.vdot(st.psi, v) * self.dV)
@@ -350,12 +346,11 @@ def minimize_gp_family(spec, tol=1e-8, max_iter=200000, restarts=4, seed=0,
     grids below ``lattice.THREADED_SIZE`` points the restarts run side by
     side (``_Flow.descend_all``); the results do not depend on that.
     """
-    flow = _Flow(spec)
     if starts is None:
         starts = _starting_fields(spec.grid, restarts, seed)
     else:
         starts = _given_starts(starts, spec.grid.shape, ValueError)
-    fields, records = flow.descend_all(starts, tol, max_iter)
+    fields, records = _Flow(spec).descend_all(starts, tol, max_iter)
     results = []
     for psi, rec in zip(fields, records):
         if not rec.ok:

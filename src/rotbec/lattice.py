@@ -169,15 +169,23 @@ class Grid:
         h, n, dx = self.half_widths[axis], self.points[axis], self.spacings[axis]
         return -h + (np.arange(n) + 0.5) * dx
 
+    def broadcast(self, axis, values):
+        """One axis's samples shaped to broadcast against the grid."""
+        shape = [1] * self.dim
+        shape[axis] = self.points[axis]
+        return values.reshape(shape)
+
+    def sum_of_squares(self, arrays):
+        """sum_a arrays[a]^2 as a full grid-shaped array."""
+        total = np.zeros(self.shape)
+        for a in arrays:
+            total = total + a**2
+        return total
+
     @cached_property
     def meshes(self):
         """Coordinate arrays broadcastable to the grid shape, one per axis."""
-        out = []
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.points[axis]
-            out.append(self.axis_coordinates(axis).reshape(shape))
-        return tuple(out)
+        return tuple(self.broadcast(a, self.axis_coordinates(a)) for a in range(self.dim))
 
     def wavenumbers(self, axis):
         """Spectral frequencies k = pi*m/L in FFT ordering."""
@@ -186,12 +194,7 @@ class Grid:
     @cached_property
     def k_meshes(self):
         """Wavenumber arrays broadcastable to the grid shape (Nyquist kept)."""
-        out = []
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.points[axis]
-            out.append(self.wavenumbers(axis).reshape(shape))
-        return tuple(out)
+        return tuple(self.broadcast(a, self.wavenumbers(a)) for a in range(self.dim))
 
     @cached_property
     def ik_meshes(self):
@@ -205,17 +208,11 @@ class Grid:
 
     @cached_property
     def k2_mesh(self):
-        k2 = np.zeros(self.shape)
-        for k in self.k_meshes:
-            k2 = k2 + k**2
-        return k2
+        return self.sum_of_squares(self.k_meshes)
 
     @cached_property
     def radius2_mesh(self):
-        r2 = np.zeros(self.shape)
-        for x in self.meshes:
-            r2 = r2 + x**2
-        return r2
+        return self.sum_of_squares(self.meshes)
 
     def zeros(self):
         return Field(self, np.zeros(self.shape, dtype=complex))

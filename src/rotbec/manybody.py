@@ -20,6 +20,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DimensionTooLarge, InvalidState, NoConvergence
 from .lattice import blas_threads, fftn, ifftn
+from .model import lowest_eigenpairs
 from .scatter import GaussianBump, scale_potential, scattering_length
 
 _BASIS_CAP = 100_000
@@ -251,16 +252,9 @@ def unit_scattering_gaussian(width=1.0):
 
 def _pair_kernel(grid, potential):
     """Pair potential sampled on the periodic displacement grid."""
-    r2 = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        n = grid.points[axis]
-        dx = grid.spacings[axis]
-        L = grid.half_widths[axis]
-        d = ((np.arange(n) * dx + L) % (2.0 * L)) - L
-        shape = [1] * grid.dim
-        shape[axis] = n
-        r2 = r2 + d.reshape(shape) ** 2
-    return potential.value(np.sqrt(r2))
+    d = [grid.broadcast(axis, ((np.arange(n) * dx + L) % (2.0 * L)) - L)
+         for axis, (n, dx, L) in enumerate(zip(grid.points, grid.spacings, grid.half_widths))]
+    return potential.value(np.sqrt(grid.sum_of_squares(d)))
 
 
 def build_w_tensor(spec, modes, pair):
@@ -506,8 +500,6 @@ def gp_limit_scan(spec, M, g, N_list, pair_kind="delta", with_absolute=False,
     contact surrogate of strength 8 pi a, or "gaussian" for the scaled
     unit-scattering-length Gaussian.
     """
-    from .model import lowest_eigenpairs
-
     if not 1 <= M <= 6 or any(N < 2 or N > 10 for N in N_list):
         raise InvalidState("the mode count must lie in [1, 6] and N values in [2, 10]")
     if pair_kind not in ("delta", "gaussian"):

@@ -10,6 +10,7 @@ Hermitian.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
@@ -173,13 +174,18 @@ def _axis_aligned(om):
     return None
 
 
-def centrifugal_term(rotation, grid):
-    """|Omega ^ x|^2 / 4 on the grid (z coordinate = 0 for 2D grids)."""
+def _omega_cross_x(rotation, grid):
+    """The three components of Omega ^ x on the grid (z coordinate = 0 for 2D grids)."""
     om = np.asarray(rotation.omega)
     xr = list(grid.meshes) + [np.zeros((1,) * grid.dim)] * (3 - grid.dim)
-    cx = om[1] * xr[2] - om[2] * xr[1]
-    cy = om[2] * xr[0] - om[0] * xr[2]
-    cz = om[0] * xr[1] - om[1] * xr[0]
+    return [om[1] * xr[2] - om[2] * xr[1],
+            om[2] * xr[0] - om[0] * xr[2],
+            om[0] * xr[1] - om[1] * xr[0]]
+
+
+def centrifugal_term(rotation, grid):
+    """|Omega ^ x|^2 / 4 on the grid (z coordinate = 0 for 2D grids)."""
+    cx, cy, cz = _omega_cross_x(rotation, grid)
     return 0.25 * (cx**2 + cy**2 + cz**2)
 
 
@@ -230,32 +236,31 @@ class ModelSpec:
             np.asarray(self.rotation.omega)
         ) == 2
 
+    @cached_property
+    def h0(self):
+        """The spec's one H0Action, built on first use and shared by every solver."""
+        return H0Action(self)
+
 
 class H0Action:
     """Cached tensors for repeatedly applying H0 on one grid.
 
     The hot loops of the minimizers work on raw complex arrays through this
-    object; the Field-level API wraps it.
+    object; the Field-level API wraps it.  ``ModelSpec.h0`` keeps the one
+    instance of a spec.
     """
 
     def __init__(self, spec):
-        self.spec = spec
         grid = spec.grid
         self.grid = grid
         self.V = spec.trap.evaluate(grid)
         self.k2 = grid.k2_mesh
         self.ik = grid.ik_meshes
-        om = np.asarray(spec.rotation.omega)
         # Omega.L = -i (Omega ^ x).grad; store the real coefficient meshes
         self.rot_coeffs = None
         if spec.rotation.magnitude != 0.0:
-            xr = list(grid.meshes) + [np.zeros((1,) * grid.dim)] * (3 - grid.dim)
-            a = [
-                om[1] * xr[2] - om[2] * xr[1],
-                om[2] * xr[0] - om[0] * xr[2],
-                om[0] * xr[1] - om[1] * xr[0],
-            ][: grid.dim]
-            self.rot_coeffs = [c if np.any(c) else None for c in a]
+            self.rot_coeffs = [c if np.any(c) else None
+                               for c in _omega_cross_x(spec.rotation, grid)[: grid.dim]]
 
     def apply(self, values):
         """H0 on a field or on a stack of fields shaped (m,) + grid.shape."""
@@ -274,6 +279,11 @@ class H0Action:
     # the batched name stays for stack callers (LOBPCG, the DM weight
     # update), and so that bench/tracer.py can count block calls apart
     apply_block = apply
+
+    def precondition(self, values, shift):
+        """(shift - Delta)^-1, the kinetic preconditioner, on a field or a stack."""
+        dim = self.grid.dim
+        return ifftn(fftn(values, dim) / (shift + self.k2), dim)
 
     def energy_parts(self, values):
         """(kinetic, potential, rotational) expectations of a unit-norm field.
@@ -308,7 +318,7 @@ def apply_h0(spec, phi):
     """Apply H0 = -Delta + V - Omega.L to a field."""
     if phi.grid is not spec.grid and phi.grid != spec.grid:
         raise ValueError("field and model spec use different grids")
-    return Field(spec.grid, H0Action(spec).apply(phi.values))
+    return Field(spec.grid, spec.h0.apply(phi.values))
 
 
 def angular_momentum_z(phi):
@@ -333,27 +343,24 @@ def lowest_eigenpairs(spec, m, residual_tol=1e-8, maxiter=800, seed=7):
     """
     if m < 1 or m > 16:
         raise ValueError("eigenpair count must be between 1 and 16")
-    action = H0Action(spec)
+    action = spec.h0
     grid = spec.grid
     size = int(np.prod(grid.points))
     guard = min(max(2, m // 2), size - m - 1)
     k = m + guard
 
-    def matmat(block):
-        cols = block.shape[1]
-        stacked = np.ascontiguousarray(block.T).reshape((cols,) + grid.shape)
-        return action.apply_block(stacked).reshape(cols, size).T
+    def columns(rows_map):
+        """A map on (cols,) + grid stacks as an operator on (size, cols) blocks."""
+        def matmat(block):
+            cols = block.shape[1]
+            stacked = np.ascontiguousarray(block.T).reshape((cols,) + grid.shape)
+            return rows_map(stacked).reshape(cols, size).T
 
-    def precond(block):
-        cols = block.shape[1]
-        stacked = np.ascontiguousarray(block.T).reshape((cols,) + grid.shape)
-        out = ifftn(fftn(stacked, grid.dim) / (1.0 + grid.k2_mesh), grid.dim)
-        return out.reshape(cols, size).T
+        return LinearOperator((size, size), matvec=lambda v: matmat(v.reshape(size, 1)).ravel(),
+                              matmat=matmat, dtype=complex)
 
-    op = LinearOperator((size, size), matvec=lambda v: matmat(v.reshape(size, 1)).ravel(),
-                        matmat=matmat, dtype=complex)
-    prec = LinearOperator((size, size), matvec=lambda v: precond(v.reshape(size, 1)).ravel(),
-                          matmat=precond, dtype=complex)
+    op = columns(action.apply_block)
+    prec = columns(lambda stacked: action.precondition(stacked, 1.0))
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal((size, k)) + 1j * rng.standard_normal((size, k))
     # a smooth confined component speeds up the first iterations
@@ -371,7 +378,7 @@ def lowest_eigenpairs(spec, m, residual_tol=1e-8, maxiter=800, seed=7):
     vals = vals[order]
     vecs = vecs[:, order]
     # verify the advertised residuals; lobpcg can return silently unconverged
-    resid = matmat(vecs) - vecs * vals[None, :]
+    resid = op.matmat(vecs) - vecs * vals[None, :]
     resnorms = np.linalg.norm(resid, axis=0) * np.sqrt(grid.cell_volume)
     if np.any(resnorms > residual_tol):
         raise NoConvergence(

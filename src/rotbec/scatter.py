@@ -21,6 +21,10 @@ from .errors import NoConvergence, NonFiniteScatteringLength
 class HardSphere:
     radius: float
 
+    def __post_init__(self):
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("hard-sphere radius must be positive and finite")
+
     @property
     def range(self):
         return self.radius
@@ -39,6 +43,10 @@ class SquareWell:
     depth: float
     radius: float
 
+    def __post_init__(self):
+        if not (0.0 < self.radius < math.inf and math.isfinite(self.depth)):
+            raise ValueError("square well needs a finite depth and a positive finite radius")
+
     @property
     def range(self):
         return self.radius
@@ -54,6 +62,10 @@ class SquareWell:
 class GaussianBump:
     amplitude: float
     width: float
+
+    def __post_init__(self):
+        if not (0.0 < self.width < math.inf and math.isfinite(self.amplitude)):
+            raise ValueError("Gaussian needs a finite amplitude and a positive finite width")
 
     @property
     def range(self):
@@ -124,19 +136,19 @@ def scale_potential(w, a):
 def scattering_length(v, rtol=1e-12):
     """Zero-energy scattering length by outward radial integration.
 
-    Integrates u'' = v u / 2 from the origin (from the core edge for hard
-    spheres) and evaluates a = r - u/u' at the range; the result is
-    checked to be stable to 1e-8 under tightening of the integrator
-    tolerance.  Raises NonFiniteScatteringLength at a zero-energy
-    resonance (u' -> 0), and NoConvergence when the integrator stops short
-    of the range.
+    Hard spheres (a = R) and square wells return their closed forms.  Other
+    potentials integrate u'' = v u / 2 from the origin and evaluate
+    a = r - u/u' at the range; the result is checked to be stable to 1e-8
+    under tightening of the integrator tolerance.  Raises
+    NonFiniteScatteringLength at a zero-energy resonance (u' -> 0), and
+    NoConvergence when the integrator stops short of the range.
     """
     if isinstance(v, HardSphere):
         return v.radius
+    if isinstance(v, SquareWell):
+        return _square_well_exact(v)
 
     def run(rt):
-        if isinstance(v, SquareWell):
-            return _square_well_exact(v)
         r0 = 1e-8 * v.range
         sol = solve_ivp(
             lambda r, y: [y[1], 0.5 * float(v.value(r)) * y[0]],

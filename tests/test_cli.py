@@ -78,11 +78,20 @@ _SOFT_SHELL = {"kind": "soft_shell", "r_inner": 0.5, "r_outer": 1.0}
     ("fock", {"model": _HARMONIC_16, "fock": {"modes": 2, "n_values": [2], "pair": "dipole"}}),
     ("fock", {"model": _HARMONIC_16, "fock": {"modes": 0, "n_values": [2]}}),
     ("coherent", {"coherent": {"radial_points": 0}}),
+    ("scatter", {"scatter": {"potential": {"kind": "hard_sphere", "radius": -1.0}}}),
+    ("scatter", {"scatter": {"potential": {"kind": "gaussian", "amplitude": 1.0,
+                                           "width": 0.0}}}),
+    ("scatter", {"scatter": {"potential": {"kind": "square_well", "depth": 1.0,
+                                           "radius": 0.0}}}),
+    ("fock", {"model": _HARMONIC_16, "fock": {"modes": 2, "n_values": [2],
+                                              "with_absolute": "false"}}),
+    ("gp-min", {"outputs": {"emit_fields": "yes"}}),
 ], ids=["trap-not-object", "sampled-file-missing", "hard-sphere-no-radius",
         "soft-shell-empty", "fock-N-1", "fock-M-7", "coherent-D-8", "restarts-not-int",
         "dm-rank-9", "sweep-value-not-number", "scale-negative", "square-well-resonance",
         "in-plane-omega-2d", "fock-pair-unknown", "fock-M-0",
-        "coherent-no-radial-points"])
+        "coherent-no-radial-points", "hard-sphere-negative-radius", "gaussian-zero-width",
+        "square-well-zero-radius", "fock-absolute-string", "emit-fields-string"])
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, subcommand, overrides):
     path = tmp_path / "cfg.json"
     write_config(path, **overrides)
@@ -242,6 +251,20 @@ def _two_point_sweep(tmp_path):
 def test_bad_worker_count_env_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ROTBEC_WORKERS", "two")
     assert main(["sweep", "--config", str(_two_point_sweep(tmp_path))]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, rank", [([0.0, 2.0], 9), ([0.0, -1.0], 2)],
+                         ids=["dm-rank-9", "negative-g-at-second-point"])
+def test_sweep_checks_rank_and_every_point_before_solving(tmp_path, monkeypatch, capsys,
+                                                          values, rank):
+    calls = []
+    monkeypatch.setattr(rotbec.cli, "minimize_gp_family",
+                        lambda *args, **kwargs: calls.append(args))
+    path = tmp_path / "cfg.json"
+    write_config(path, sweep={"parameter": "g", "values": values}, dm={"rank": rank})
+    assert main(["sweep", "--config", str(path), "--workers", "1"]) == 2
+    assert calls == []
     assert "config error" in capsys.readouterr().err
 
 

@@ -212,6 +212,30 @@ def test_every_transform_uses_the_lattice_thread_setting(monkeypatch):
     assert {workers for _, workers in seen} == {1}
 
 
+def test_every_solver_shares_the_specs_one_h0(monkeypatch):
+    from rotbec.dm import DMState, dm_energy, minimize_dm
+    from rotbec.gp import gp_energy, gp_gradient, minimize_gp_family
+
+    built = []
+    init = H0Action.__init__
+
+    def counting(self, spec):
+        built.append(spec)
+        init(self, spec)
+
+    monkeypatch.setattr(H0Action, "__init__", counting)
+    spec = ModelSpec(Grid((6.0, 6.0), (16, 16)), HarmonicTrap((1.0, 1.0)), RotationSpec(0.5), 1.0)
+    phi = minimize_gp_family(spec, restarts=0)[0].phi
+    gp_energy(spec, phi)
+    gp_gradient(spec, phi)
+    apply_h0(spec, phi)
+    modes = lowest_eigenpairs(spec, 3)
+    dm_energy(spec, DMState([f for _, f in modes[:2]], [0.5, 0.5]))
+    minimize_dm(spec, 2, tol=1e-6, restarts=0)
+    assert built == [spec]
+    assert spec.h0 is spec.h0
+
+
 @pytest.mark.parametrize("fails", [False, True])
 def test_lobpcg_holds_scipy_blas_at_one_thread(monkeypatch, blas_counts, fails):
     before = blas_counts()

@@ -35,6 +35,29 @@ def test_square_well_closed_form():
         assert abs(scattering_length(SquareWell(depth, R)) - closed) < 1e-7
 
 
+def test_square_well_closed_form_runs_once(monkeypatch):
+    calls = []
+    exact = rotbec.scatter._square_well_exact
+    monkeypatch.setattr(rotbec.scatter, "_square_well_exact",
+                        lambda v: calls.append(v) or exact(v))
+    well = SquareWell(-2.0, 1.0)
+    assert scattering_length(well) == exact(well)
+    assert calls == [well]
+
+
+@pytest.mark.parametrize("make, args", [
+    (HardSphere, (-1.0,)), (HardSphere, (0.0,)), (HardSphere, (math.inf,)),
+    (SquareWell, (1.0, -1.0)), (SquareWell, (1.0, 0.0)), (SquareWell, (math.nan, 1.0)),
+    (SquareWell, (-math.inf, 1.0)), (GaussianBump, (1.0, 0.0)), (GaussianBump, (1.0, -2.0)),
+    (GaussianBump, (math.inf, 1.0)),
+], ids=["sphere-negative", "sphere-zero", "sphere-infinite", "well-negative-radius",
+        "well-zero-radius", "well-nan-depth", "well-infinite-depth", "gauss-zero-width",
+        "gauss-negative-width", "gauss-infinite-amplitude"])
+def test_potentials_reject_nonphysical_parameters(make, args):
+    with pytest.raises(ValueError):
+        make(*args)
+
+
 def test_square_well_resonance_raises():
     # kappa R = pi/2 is the zero-energy resonance of the attractive well
     R = 1.0
