@@ -42,6 +42,7 @@ from .diagnostics import (
     minimizer_family_analysis,
     symmetry_breaking_metric,
 )
+from .sweep import SweepPoint, solve_point
 from .manybody import (
     DeltaPair,
     FockProblem,

@@ -22,7 +22,6 @@ import numpy as np
 from . import diagnostics
 from .dm import check_rank, minimize_dm
 from .errors import ConfigError, InvalidState, NoConvergence, NonFiniteScatteringLength, Unstable
-from .gp import minimize_gp_family
 from .lattice import Grid, atomic_open, limit_threads, write_field_raw, write_field_text
 from .manybody import coherent_state_checks, gp_limit_scan
 from .model import HarmonicTrap, ModelSpec, QuarticTrap, RotationSpec, SampledTrap
@@ -35,6 +34,7 @@ from .scatter import (
     scale_potential,
     scattering_length,
 )
+from .sweep import solve_point
 
 _SCHEMA = {
     "model": {"dim", "half_width", "points", "trap", "omega", "g"},
@@ -75,6 +75,15 @@ def _reading(where):
         yield
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"bad value in {where}: {type(exc).__name__}: {exc}") from exc
+
+
+def _integer(value):
+    """A JSON integer, or a float with an integral value such as 2.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _flag(cfg, section, key):
@@ -137,8 +146,9 @@ def load_config(path):
 def build_model(cfg):
     with _reading("model"):
         m = cfg["model"]
-        dim = int(m["dim"])
-        grid = Grid(_per_axis(m["half_width"], dim), _per_axis(m["points"], dim))
+        dim = _integer(m["dim"])
+        points = [_integer(n) for n in _per_axis(m["points"], dim)]
+        grid = Grid(_per_axis(m["half_width"], dim), points)
         make_trap, keys = _TRAPS[m["trap"]["kind"]]
         trap = make_trap(grid, *(m["trap"][k] for k in keys))
         return ModelSpec(grid, trap, RotationSpec(m["omega"]), float(m["g"]))
@@ -155,15 +165,15 @@ def solver_options(cfg):
         s = cfg.get("solver", {})
         return {
             "tol": float(s.get("tol", 1e-8)),
-            "max_iter": int(s.get("max_iter", 200000)),
-            "restarts": int(s.get("restarts", 4)),
-            "seed": int(s.get("seed", 0)),
+            "max_iter": _integer(s.get("max_iter", 200000)),
+            "restarts": _integer(s.get("restarts", 4)),
+            "seed": _integer(s.get("seed", 0)),
         }
 
 
 def _dm_rank(cfg):
     with _reading("dm"):
-        rank = int(cfg.get("dm", {}).get("rank", 2))
+        rank = _integer(cfg.get("dm", {}).get("rank", 2))
     check_rank(rank)
     return rank
 
@@ -230,30 +240,18 @@ def _emit_field_artifacts(outdir, stem, phi, cfg, digest, seed):
         )
 
 
-def _gp_point(spec, opts):
-    """GP family, the vortex report of its best member, and s (axisymmetric only)."""
-    family = minimize_gp_family(spec, **opts)
-    best = family[0]
-    report = diagnostics.detect_vortices(best.phi)
-    s_metric = (
-        diagnostics.symmetry_breaking_metric(best.phi) if spec.is_axisymmetric else None
-    )
-    return family, report, s_metric
-
-
 def cmd_gp_min(cfg, digest, outdir, workers):
     spec = build_model(cfg)
     opts = solver_options(cfg)
-    family, report, s_metric = _gp_point(spec, opts)
-    best = family[0]
-    payload = _gp_payload(best)
-    payload["vortex_count"] = report.count
-    payload["total_winding"] = report.total_winding
-    payload["Lz"] = sig12(report.Lz_expectation)
-    if s_metric is not None:
-        payload["s_metric"] = sig12(s_metric)
+    point = solve_point(spec, (), None, **opts)  # no DM ranks, so no DM tolerance
+    payload = _gp_payload(point.best)
+    payload["vortex_count"] = point.vortices.count
+    payload["total_winding"] = point.vortices.total_winding
+    payload["Lz"] = sig12(point.vortices.Lz_expectation)
+    if point.s_metric is not None:
+        payload["s_metric"] = sig12(point.s_metric)
     write_json(os.path.join(outdir, "gp_result.json"), payload, digest, opts["seed"])
-    _emit_field_artifacts(outdir, "gp_phi", best.phi, cfg, digest, opts["seed"])
+    _emit_field_artifacts(outdir, "gp_phi", point.best.phi, cfg, digest, opts["seed"])
     return 0
 
 
@@ -289,18 +287,12 @@ def sweep_point(job):
     Returns the job's ``sweep.csv`` row.
     """
     cfg, value = job[0], job[2]
-    spec = _point_model(job)
     opts = solver_options(cfg)
-    family, report, s_metric = _gp_point(spec, opts)
-    best = family[0]
-    sym = diagnostics.minimizer_family_analysis(family)
-    dm_result = minimize_dm(
-        spec, _dm_rank(cfg), tol=max(opts["tol"], 1e-7), max_iter=opts["max_iter"],
-        restarts=0, seed=opts["seed"], seed_fields=[best.phi],
-    )
+    point = solve_point(_point_model(job), (_dm_rank(cfg),), max(opts["tol"], 1e-7), **opts)
+    best, report, (dm_result,) = point.best, point.vortices, point.dm
     return [sig12(value), sig12(best.energy), sig12(best.mu), report.count,
-            report.total_winding, sig12(report.Lz_expectation), sig12(s_metric),
-            sym.n_distinct_minimizers, sig12(dm_result.energy),
+            report.total_winding, sig12(report.Lz_expectation), sig12(point.s_metric),
+            point.clusters.n_distinct_minimizers, sig12(dm_result.energy),
             sig12(dm_result.energy - best.energy)]
 
 
@@ -336,8 +328,8 @@ def cmd_fock(cfg, digest, outdir, workers):
     seed = solver_options(cfg)["seed"]
     with _reading("fock"):
         f = cfg.get("fock", {})
-        modes, g = int(f.get("modes", 4)), float(f.get("g", 0.5))
-        n_values = [int(n) for n in f.get("n_values", [2, 4, 6, 8])]
+        modes, g = _integer(f.get("modes", 4)), float(f.get("g", 0.5))
+        n_values = [_integer(n) for n in f.get("n_values", [2, 4, 6, 8])]
     rows = gp_limit_scan(spec, modes, g, n_values, pair_kind=f.get("pair", "delta"),
                          with_absolute=_flag(cfg, "fock", "with_absolute"))
     header = ["N", "a", "E0_over_N", "E_gp_truncated", "condensate_fraction", "E_abs"]
@@ -358,12 +350,12 @@ def cmd_coherent(cfg, digest, outdir, workers):
         c = cfg.get("coherent", {})
         z = c.get("z", [1.0, 1.0])
         report = coherent_state_checks(
-            D=int(c.get("truncation", 64)),
+            D=_integer(c.get("truncation", 64)),
             z=complex(float(z[0]), float(z[1])),
             Z=float(c.get("quad_radius", 8.0)),
-            n_max=int(c.get("n_max", 8)),
-            radial_points=int(c.get("radial_points", 128)),
-            angular_points=int(c.get("angular_points", 256)),
+            n_max=_integer(c.get("n_max", 8)),
+            radial_points=_integer(c.get("radial_points", 128)),
+            angular_points=_integer(c.get("angular_points", 256)),
         )
     payload = {
         "annihilation_error": sig12(report.annihilation_error),

@@ -33,7 +33,6 @@ class VortexReport:
 
 @dataclass
 class SymmetryReport:
-    azimuthal_deviation: float | None
     n_distinct_minimizers: int
     pairwise_density_distances: list = field(default_factory=list)
 
@@ -150,7 +149,7 @@ def density_l1_distance(a, b):
     return float(np.sum(np.abs(da - db))) * dV
 
 
-def minimizer_family_analysis(results, energy_tol=1e-6, distance_tol=1e-3, trap=None):
+def minimizer_family_analysis(results, energy_tol=1e-6, distance_tol=1e-3):
     """Cluster converged minimizers by density and count the degenerate ones.
 
     Only results within energy_tol of the best energy participate in the
@@ -158,7 +157,7 @@ def minimizer_family_analysis(results, energy_tol=1e-6, distance_tol=1e-3, trap=
     distances with threshold distance_tol.
     """
     if not results:
-        return SymmetryReport(None, 0, [])
+        return SymmetryReport(0, [])
     best = min(r.energy for r in results)
     members = [r for r in results if r.energy <= best + energy_tol]
     n = len(members)
@@ -171,15 +170,7 @@ def minimizer_family_analysis(results, energy_tol=1e-6, distance_tol=1e-3, trap=
             pairwise.append(d)
     # single-linkage clusters: components of the graph of close pairs
     n_clusters = int(connected_components(dist <= distance_tol, directed=False)[0])
-    s = None
-    best_result = min(results, key=lambda r: r.energy)
-    if trap is None or trap.is_axisymmetric(best_result.phi.grid):
-        s = symmetry_breaking_metric(best_result.phi)
-    return SymmetryReport(
-        azimuthal_deviation=s,
-        n_distinct_minimizers=n_clusters,
-        pairwise_density_distances=pairwise,
-    )
+    return SymmetryReport(n_distinct_minimizers=n_clusters, pairwise_density_distances=pairwise)
 
 
 def write_pgm(path, values, kind="density", comment=""):

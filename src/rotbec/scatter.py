@@ -128,8 +128,9 @@ def volume_integral(v, upper=None):
 
 def scale_potential(w, a):
     """v_a(x) = a^-2 w(x/a); multiplies the scattering length by a."""
-    if a <= 0:
-        raise ValueError("scale factor must be positive")
+    # the potentials divide by a**2, which must neither underflow nor overflow
+    if not (a > 0 and 0.0 < a * a < math.inf):
+        raise ValueError(f"scale factor must be positive with a finite nonzero square, got {a!r}")
     return w.scaled(a)
 
 

@@ -1,4 +1,6 @@
 import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,19 +8,7 @@ from hypothesis import settings
 
 import rotbec.gp
 import rotbec.lattice
-from rotbec import (
-    Grid,
-    HarmonicTrap,
-    ModelSpec,
-    RotationSpec,
-    minimize_dm,
-    minimize_gp_family,
-)
-from rotbec.diagnostics import (
-    detect_vortices,
-    minimizer_family_analysis,
-    symmetry_breaking_metric,
-)
+from rotbec import Grid, HarmonicTrap, ModelSpec, RotationSpec, solve_point
 
 
 def noise_field(grid, rng, envelope=True):
@@ -111,55 +101,14 @@ def sweep_data():
     """GP + DM results over a (g, omega_z) grid on the 2D harmonic trap.
 
     Shared by the symmetry-breaking and DM-vs-GP acceptance criteria; the
-    DM runs are seeded so the E_DM <= E_GP and E_DM4 <= E_DM2 inequalities
-    are guaranteed by monotone descent rather than by luck.
+    DM ladder (ranks 2 and 4) is seeded so the E_DM <= E_GP and
+    E_DM4 <= E_DM2 inequalities are guaranteed by monotone descent rather
+    than by luck.
     """
-    import time
-
     started = time.perf_counter()
-    rows = {}
+    points = {}
     for g, omega in SWEEP_POINTS:
         spec = ModelSpec(SWEEP_GRID, HarmonicTrap((1.0, 1.0)), RotationSpec(omega), g)
-        family = minimize_gp_family(spec, tol=1e-8, max_iter=25000, restarts=3, seed=42)
-        best = family[0]
-        report = detect_vortices(best.phi)
-        s_metric = symmetry_breaking_metric(best.phi)
-        clusters = minimizer_family_analysis(family, energy_tol=1e-6, distance_tol=1e-3)
-        dm_tol = _DM_TOL.get((g, omega), 1e-6)
-        dm2 = minimize_dm(spec, 2, tol=dm_tol, max_iter=30000, restarts=0,
-                          seed=42, seed_fields=[best.phi])
-        pad = _padded_stack(dm2, 4, seed=42)
-        dm4 = minimize_dm(spec, 4, tol=dm_tol, max_iter=30000, seed=42,
-                          starts=[pad, _gp_stack(best, 4, seed=43)])
-        rows[(g, omega)] = {
-            "spec": spec,
-            "family": family,
-            "best": best,
-            "vortices": report,
-            "s_metric": s_metric,
-            "clusters": clusters,
-            "dm2": dm2,
-            "dm4": dm4,
-        }
-    rows["_elapsed"] = time.perf_counter() - started
-    return rows
-
-
-def _padded_stack(dm_result, n, seed):
-    """Square-root stack of a lower-rank DM state padded with tiny noise."""
-    grid = dm_result.state.orbitals[0].grid
-    rng = np.random.default_rng(seed)
-    rows = [np.sqrt(w) * phi.values
-            for w, phi in zip(dm_result.state.weights, dm_result.state.orbitals)]
-    while len(rows) < n:
-        rows.append(1e-6 * noise_field(grid, rng))
-    return np.stack(rows)
-
-
-def _gp_stack(gp_result, n, seed):
-    grid = gp_result.phi.grid
-    rng = np.random.default_rng(seed)
-    rows = [gp_result.phi.values]
-    while len(rows) < n:
-        rows.append(1e-6 * noise_field(grid, rng))
-    return np.stack(rows)
+        points[(g, omega)] = solve_point(spec, (2, 4), _DM_TOL.get((g, omega), 1e-6),
+                                         tol=1e-8, max_iter=25000, restarts=3, seed=42)
+    return SimpleNamespace(points=points, elapsed=time.perf_counter() - started)

@@ -123,16 +123,14 @@ def test_criterion_04_zero_rotation_uniqueness():
 
 
 def test_criterion_05_symmetry_breaking_sweep(sweep_data):
-    elapsed = sweep_data["_elapsed"]
+    elapsed = sweep_data.elapsed
     located = None
-    for (g, omega), row in sweep_data.items():
-        if not isinstance(row, dict):
-            continue
-        plus_one = sum(1 for _, w in row["vortices"].vortices if w == 1)
-        if (plus_one >= 2 and row["s_metric"] > 1e-2
-                and row["clusters"].n_distinct_minimizers >= 2):
-            located = (g, omega, plus_one, row["s_metric"],
-                       row["clusters"].n_distinct_minimizers)
+    for (g, omega), point in sweep_data.points.items():
+        plus_one = sum(1 for _, w in point.vortices.vortices if w == 1)
+        if (plus_one >= 2 and point.s_metric > 1e-2
+                and point.clusters.n_distinct_minimizers >= 2):
+            located = (g, omega, plus_one, point.s_metric,
+                       point.clusters.n_distinct_minimizers)
             break
     report(5, "sweep locates a broken point (>=2 (+1) vortices, s > 1e-2, >=2 clusters), < 30 min",
            located is not None and elapsed < 1800.0,
@@ -140,21 +138,21 @@ def test_criterion_05_symmetry_breaking_sweep(sweep_data):
 
 
 def test_criterion_06_dm_below_gp(sweep_data):
-    broken = sweep_data[(20.0, 1.0)]
-    weights = broken["dm4"].state.weights
-    gap_ok = broken["dm4"].energy < broken["best"].energy - 1e-4
+    broken = sweep_data.points[(20.0, 1.0)]
+    e_gp, e_dm4 = broken.best.energy, broken.dm[1].energy
+    weights = broken.dm[1].state.weights
+    gap_ok = e_dm4 < e_gp - 1e-4
     weights_ok = int(np.sum(weights > 1e-3)) >= 2
     everywhere_ok = True
     rank_ok = True
-    for key, row in sweep_data.items():
-        if not isinstance(row, dict):
-            continue
-        everywhere_ok &= row["dm2"].energy <= row["best"].energy + 1e-8
-        everywhere_ok &= row["dm4"].energy <= row["best"].energy + 1e-8
-        rank_ok &= row["dm4"].energy <= row["dm2"].energy + 1e-8
+    for point in sweep_data.points.values():
+        dm2, dm4 = point.dm
+        everywhere_ok &= dm2.energy <= point.best.energy + 1e-8
+        everywhere_ok &= dm4.energy <= point.best.energy + 1e-8
+        rank_ok &= dm4.energy <= dm2.energy + 1e-8
     report(6, "E_DM4 < E_GP - 1e-4 at the broken point; E_DM <= E_GP and E_DM4 <= E_DM2 on the sweep",
            gap_ok and weights_ok and everywhere_ok and rank_ok,
-           f"gap={broken['best'].energy - broken['dm4'].energy:.4f} "
+           f"gap={e_gp - e_dm4:.4f} "
            f"weights>{1e-3}: {int(np.sum(weights > 1e-3))}")
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import rotbec.cli
 import rotbec.scatter
+import rotbec.sweep
 from rotbec.cli import load_config, main
 from rotbec.errors import ConfigError
 from rotbec.lattice import read_field_raw, read_field_text
@@ -86,12 +87,29 @@ _SOFT_SHELL = {"kind": "soft_shell", "r_inner": 0.5, "r_outer": 1.0}
     ("fock", {"model": _HARMONIC_16, "fock": {"modes": 2, "n_values": [2],
                                               "with_absolute": "false"}}),
     ("gp-min", {"outputs": {"emit_fields": "yes"}}),
+    ("dm-min", {"dm": {"rank": 2.7}}),
+    ("dm-min", {"dm": {"rank": "2"}}),
+    ("gp-min", {"solver": {"max_iter": True}}),
+    ("gp-min", {"solver": {"restarts": math.inf}}),
+    ("gp-min", {"solver": {"seed": math.nan}}),
+    ("gp-min", {"model": {"dim": 2.5}}),
+    ("gp-min", {"model": {"points": 32.5}}),
+    ("fock", {"model": _HARMONIC_16, "fock": {"modes": 2, "n_values": [2.5]}}),
+    ("coherent", {"coherent": {"n_max": True}}),
+    ("scatter", {"scatter": {"potential": {"kind": "square_well", "depth": -1.0,
+                                           "radius": 1.0}, "scales": [1e-200]}}),
+    ("scatter", {"scatter": {"potential": {"kind": "gaussian", "amplitude": 1.0,
+                                           "width": 1.0}, "scales": [1e200]}}),
+    ("scatter", {"scatter": {"potential": _SOFT_SHELL, "scales": [1e-200]}}),
 ], ids=["trap-not-object", "sampled-file-missing", "hard-sphere-no-radius",
         "soft-shell-empty", "fock-N-1", "fock-M-7", "coherent-D-8", "restarts-not-int",
         "dm-rank-9", "sweep-value-not-number", "scale-negative", "square-well-resonance",
         "in-plane-omega-2d", "fock-pair-unknown", "fock-M-0",
         "coherent-no-radial-points", "hard-sphere-negative-radius", "gaussian-zero-width",
-        "square-well-zero-radius", "fock-absolute-string", "emit-fields-string"])
+        "square-well-zero-radius", "fock-absolute-string", "emit-fields-string",
+        "dm-rank-fraction", "dm-rank-string", "max-iter-true", "restarts-infinite",
+        "seed-nan", "dim-fraction", "points-fraction", "fock-N-fraction", "coherent-n-max-true",
+        "square-well-scale-underflow", "gaussian-scale-overflow", "soft-shell-scale-underflow"])
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, subcommand, overrides):
     path = tmp_path / "cfg.json"
     write_config(path, **overrides)
@@ -100,11 +118,18 @@ def test_bad_value_exits_2_with_one_line(tmp_path, capsys, subcommand, overrides
     assert len(err) == 1 and err[0].startswith("rotbec: config error: "), err
 
 
+def test_integer_options_take_integral_floats(tmp_path):
+    path = tmp_path / "cfg.json"
+    write_config(path, model={"dim": 2.0},
+                 solver={"tol": 1e-8, "max_iter": 5000.0, "restarts": 1.0, "seed": 3.0})
+    assert main(["gp-min", "--config", str(path)]) == 0
+
+
 def test_solver_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     def failing(*args, **kwargs):
         raise ValueError("inside the solve")
 
-    monkeypatch.setattr(rotbec.cli, "minimize_gp_family", failing)
+    monkeypatch.setattr(rotbec.sweep, "minimize_gp_family", failing)
     path = tmp_path / "cfg.json"
     write_config(path)
     with pytest.raises(ValueError, match="inside the solve"):
@@ -259,7 +284,7 @@ def test_bad_worker_count_env_is_config_error(tmp_path, monkeypatch, capsys):
 def test_sweep_checks_rank_and_every_point_before_solving(tmp_path, monkeypatch, capsys,
                                                           values, rank):
     calls = []
-    monkeypatch.setattr(rotbec.cli, "minimize_gp_family",
+    monkeypatch.setattr(rotbec.sweep, "minimize_gp_family",
                         lambda *args, **kwargs: calls.append(args))
     path = tmp_path / "cfg.json"
     write_config(path, sweep={"parameter": "g", "values": values}, dm={"rank": rank})

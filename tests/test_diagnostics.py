@@ -184,10 +184,9 @@ def test_family_analysis_scoping_by_energy():
 def test_zero_rotation_runs_form_single_cluster(sweep_data):
     # without rotation the minimizer is unique: every converged restart
     # lands in one density cluster
-    for (g, omega), row in ((k, v) for k, v in sweep_data.items()
-                            if isinstance(v, dict)):
+    for (g, omega), point in sweep_data.points.items():
         if omega == 0.0:
-            assert row["clusters"].n_distinct_minimizers == 1
+            assert point.clusters.n_distinct_minimizers == 1
 
 
 def test_density_l1_distance_normalization():

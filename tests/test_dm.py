@@ -131,23 +131,22 @@ def test_minimize_dm_restart_agreement():
 
 
 def test_dm_rank_monotone_and_below_gp(sweep_data):
-    for key, row in sweep_data.items():
-        if not isinstance(row, dict):
-            continue
-        assert row["dm4"].energy <= row["dm2"].energy + 1e-8
-        assert row["dm2"].energy <= row["best"].energy + 1e-8
+    for point in sweep_data.points.values():
+        dm2, dm4 = point.dm
+        assert dm4.energy <= dm2.energy + 1e-8
+        assert dm2.energy <= point.best.energy + 1e-8
 
 
 def test_dm_symmetry_broken_point_mixes_ranks(sweep_data):
-    row = sweep_data[(20.0, 1.0)]
-    assert row["dm4"].energy < row["best"].energy - 1e-4
-    assert np.sum(row["dm4"].state.weights > 1e-3) >= 2
-    row["dm4"].state.validate()
+    point = sweep_data.points[(20.0, 1.0)]
+    dm4 = point.dm[1]
+    assert dm4.energy < point.best.energy - 1e-4
+    assert np.sum(dm4.state.weights > 1e-3) >= 2
+    dm4.state.validate()
 
 
 def test_dm_orbitals_stay_orthonormal(sweep_data):
-    row = sweep_data[(20.0, 1.0)]
-    orbs = row["dm2"].state.orbitals
+    orbs = sweep_data.points[(20.0, 1.0)].dm[0].state.orbitals
     for i in range(len(orbs)):
         for j in range(len(orbs)):
             ov = inner(orbs[i], orbs[j])

@@ -239,8 +239,7 @@ def test_mu_at_least_energy_with_interaction():
 def test_symmetry_breaking_beats_fixed_winding(sweep_data):
     """At the broken point the minimizer undercuts every single-winding
     profile (radial-oracle restricted minimization for q = 0..3)."""
-    point = sweep_data[(20.0, 1.0)]
-    best = point["best"]
+    best = sweep_data.points[(20.0, 1.0)].best
     restricted = [
         radial_fixed_winding_minimum(g=20.0, omega=1.0, q=q) for q in range(4)
     ]

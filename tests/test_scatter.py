@@ -84,8 +84,10 @@ def test_scale_identity_and_composition():
     w = GaussianBump(1.0, 1.0)
     assert scale_potential(w, 1.0) == w
     assert scale_potential(HardSphere(1.0), 0.3) == HardSphere(0.3)
-    with pytest.raises(ValueError):
-        scale_potential(w, -1.0)
+    # a scale whose square underflows to 0 or overflows to inf is refused
+    for a in (-1.0, 0.0, math.nan, 1e-200, 1e200):
+        with pytest.raises(ValueError):
+            scale_potential(w, a)
 
 
 def test_monotonicity_in_potential_strength():
