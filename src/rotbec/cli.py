@@ -1,9 +1,10 @@
 """Batch front end: JSON run configurations, subcommands, sweeps.
 
-Every output file embeds the configuration hash and the seed, energies in
-JSON/CSV are rounded to 12 significant digits, and files are written
-atomically (temp + rename), so a rerun with the same configuration
-reproduces outputs byte for byte.
+Every config value is read once, by the reader ``_SCHEMA`` names for it,
+when the config is loaded.  Every output file embeds the configuration
+hash and the seed, the writers round every float in JSON/CSV to 12
+significant digits, and files are written atomically (temp + rename), so
+a rerun with the same configuration reproduces outputs byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 no convergence,
 4 unstable trap.
@@ -12,10 +13,12 @@ Exit codes: 0 success, 2 configuration error, 3 no convergence,
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from . import diagnostics
 from .dm import check_rank, minimize_dm
 from .errors import ConfigError, InvalidState, NoConvergence, NonFiniteScatteringLength, Unstable
 from .lattice import Grid, atomic_open, limit_threads, write_field_raw, write_field_text
-from .manybody import coherent_state_checks, gp_limit_scan
+from .manybody import ScanRow, coherent_state_checks, gp_limit_scan
 from .model import HarmonicTrap, ModelSpec, QuarticTrap, RotationSpec, SampledTrap
 from .scatter import (
     GaussianBump,
@@ -36,33 +39,6 @@ from .scatter import (
 )
 from .sweep import solve_point
 
-_SCHEMA = {
-    "model": {"dim", "half_width", "points", "trap", "omega", "g"},
-    "solver": {"tol", "max_iter", "restarts", "seed"},
-    "sweep": {"parameter", "values"},
-    "outputs": {"directory", "emit_fields", "emit_images"},
-    "dm": {"rank"},
-    "fock": {"modes", "g", "n_values", "pair", "with_absolute"},
-    "coherent": {"truncation", "z", "quad_radius", "n_max",
-                 "radial_points", "angular_points"},
-    "scatter": {"potential", "scales", "born_a_values"},
-}
-# (section, key) of every true/false option; absent means false
-_FLAGS = (("outputs", "emit_fields"), ("outputs", "emit_images"), ("fock", "with_absolute"))
-# kind -> (constructor, argument keys); a trap's constructor takes the grid first
-_TRAPS = {
-    "harmonic": (lambda grid, nu: HarmonicTrap(nu), ("nu",)),
-    "quartic": (lambda grid, nu, lam: QuarticTrap(nu, lam), ("nu", "lambda")),
-    "sampled": (lambda grid, path: SampledTrap(np.loadtxt(path).reshape(grid.shape)),
-                ("values_file",)),
-}
-_POTENTIALS = {
-    "hard_sphere": (HardSphere, ("radius",)),
-    "square_well": (SquareWell, ("depth", "radius")),
-    "gaussian": (GaussianBump, ("amplitude", "width")),
-    "soft_shell": (SoftShell, ("r_inner", "r_outer")),
-}
-
 
 @contextmanager
 def _reading(where):
@@ -73,122 +49,175 @@ def _reading(where):
     """
     try:
         yield
-    except (KeyError, TypeError, ValueError, OSError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         raise ConfigError(f"bad value in {where}: {type(exc).__name__}: {exc}") from exc
+
+
+def _real(value):
+    """A finite JSON number; an integer such as 2 is read as 2.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _integer(value):
     """A JSON integer, or a float with an integral value such as 2.0."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
+    if not _real(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
-def _flag(cfg, section, key):
-    """A true/false option (absent: false); any other value is a ConfigError."""
-    value = cfg.get(section, {}).get(key, False)
+def _flag(value):
+    """JSON true or false."""
     if not isinstance(value, bool):
-        raise ConfigError(f"{section}.{key} must be true or false, got {value!r}")
+        raise TypeError(f"expected true or false, got {value!r}")
     return value
 
 
-def _check_keys(mapping, allowed, where):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+def _string(value):
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
-def _check_kind(obj, table, where):
-    """An object with a known ``kind`` and exactly the keys that kind takes."""
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if not isinstance(kind, str) or kind not in table:
-        raise ConfigError(f"{where} must be an object with kind in {sorted(table)}")
-    keys = {"kind", *table[kind][1]}
-    if set(obj) != keys:
-        raise ConfigError(f"{where} of kind {kind!r} takes the keys {sorted(keys)}")
+def _list(read, length=None):
+    """A reader for a JSON list (of ``length`` entries, if given) of ``read`` values."""
+    def read_list(value):
+        if not isinstance(value, list) or length not in (None, len(value)):
+            entries = f" of {length} entries" if length else ""
+            raise TypeError(f"expected a list{entries}, got {value!r}")
+        return tuple(read(v) for v in value)
+    return read_list
+
+
+def _per_axis(read):
+    """A reader for one ``read`` value for every axis, or a list of them."""
+    read_list = _list(read)
+    return lambda value: read_list(value) if isinstance(value, list) else read(value)
+
+
+def _kind(table):
+    """A reader for an object with a ``kind`` from ``table`` and exactly its keys.
+
+    Returns {"kind": kind, key: value, ...}, each value read by the kind's reader.
+    """
+    def read_kind(value):
+        kind = value.get("kind") if isinstance(value, dict) else None
+        if not isinstance(kind, str) or kind not in table:
+            raise ValueError(f"expected an object with kind in {sorted(table)}, got {value!r}")
+        readers = table[kind][1]
+        if set(value) != {"kind", *readers}:
+            raise ValueError(f"kind {kind!r} takes the keys {sorted({'kind', *readers})}")
+        return {"kind": kind, **{key: read(value[key]) for key, read in readers.items()}}
+    return read_kind
+
+
+# kind -> (constructor, {argument key: reader}); a trap's constructor takes the grid first
+_TRAPS = {
+    "harmonic": (lambda grid, nu: HarmonicTrap(nu), {"nu": _per_axis(_real)}),
+    "quartic": (lambda grid, nu, lam: QuarticTrap(nu, lam),
+                {"nu": _per_axis(_real), "lambda": _real}),
+    "sampled": (lambda grid, path: SampledTrap(np.loadtxt(path).reshape(grid.shape)),
+                {"values_file": _string}),
+}
+_POTENTIALS = {
+    "hard_sphere": (HardSphere, {"radius": _real}),
+    "square_well": (SquareWell, {"depth": _real, "radius": _real}),
+    "gaussian": (GaussianBump, {"amplitude": _real, "width": _real}),
+    "soft_shell": (SoftShell, {"r_inner": _real, "r_outer": _real}),
+}
+# section -> key -> (reader, default); a key without a default (None) is
+# absent unless given, and the subcommands that need it say so
+_SCHEMA = {
+    "model": {"dim": (_integer, None), "half_width": (_per_axis(_real), None),
+              "points": (_per_axis(_integer), None), "trap": (_kind(_TRAPS), None),
+              "omega": (_per_axis(_real), None), "g": (_real, None)},
+    "solver": {"tol": (_real, 1e-8), "max_iter": (_integer, 200000),
+               "restarts": (_integer, 4), "seed": (_integer, 0)},
+    "sweep": {"parameter": (_string, None), "values": (_list(_real), None)},
+    "outputs": {"directory": (_string, "."), "emit_fields": (_flag, False),
+                "emit_images": (_flag, False)},
+    "dm": {"rank": (_integer, 2)},
+    "fock": {"modes": (_integer, 4), "g": (_real, 0.5),
+             "n_values": (_list(_integer), (2, 4, 6, 8)), "pair": (_string, "delta"),
+             "with_absolute": (_flag, False)},
+    "coherent": {"truncation": (_integer, 64), "z": (_list(_real, 2), (1.0, 1.0)),
+                 "quad_radius": (_real, 8.0), "n_max": (_integer, 8),
+                 "radial_points": (_integer, 128), "angular_points": (_integer, 256)},
+    "scatter": {"potential": (_kind(_POTENTIALS), None), "scales": (_list(_real), ()),
+                "born_a_values": (_list(_real), ())},
+}
 
 
 def load_config(path):
+    """Read the JSON config at ``path``; returns (config, hash).
+
+    Every value given is read by its schema reader and every absent key with
+    a default gets it, so a bad value fails here, before any solve.
+    """
     try:
         with open(path) as fh:
-            raw = fh.read()
+            given = json.loads(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(given, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(cfg, set(_SCHEMA), "config")
-    for section, keys in _SCHEMA.items():
-        if section in cfg:
-            if not isinstance(cfg[section], dict):
-                raise ConfigError(f"section {section!r} must be an object")
-            _check_keys(cfg[section], keys, section)
-    if "trap" in cfg.get("model", {}):
-        _check_kind(cfg["model"]["trap"], _TRAPS, "model.trap")
-    if "potential" in cfg.get("scatter", {}):
-        _check_kind(cfg["scatter"]["potential"], _POTENTIALS, "scatter.potential")
-    for section, key in _FLAGS:
-        _flag(cfg, section, key)  # a bad flag fails here, before any solve
+    unknown = set(given) - set(_SCHEMA)
+    if unknown:
+        raise ConfigError(f"unknown keys in config: {sorted(unknown)}")
+    cfg = {}
+    for section, schema in _SCHEMA.items():
+        values = given.get(section, {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"section {section!r} must be an object")
+        unknown = set(values) - set(schema)
+        if unknown:
+            raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
+        cfg[section] = {}
+        for key, (read, default) in schema.items():
+            if key in values:
+                with _reading(f"{section}.{key}"):
+                    cfg[section][key] = read(values[key])
+            elif default is not None:
+                cfg[section][key] = default
     # outputs decides where files go and which are written, never their
     # contents, so it stays out of the hash
-    hashed = {k: v for k, v in cfg.items() if k != "outputs"}
+    hashed = {k: v for k, v in given.items() if k != "outputs"}
     digest = hashlib.sha256(
         json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
     return cfg, digest
 
 
-def build_model(cfg):
+def build_model(m):
+    """The ModelSpec of a read ``model`` section."""
     with _reading("model"):
-        m = cfg["model"]
-        dim = _integer(m["dim"])
-        points = [_integer(n) for n in _per_axis(m["points"], dim)]
-        grid = Grid(_per_axis(m["half_width"], dim), points)
+        dim = m["dim"]
+        grid = Grid(*(m[k] if isinstance(m[k], tuple) else (m[k],) * dim
+                      for k in ("half_width", "points")))
         make_trap, keys = _TRAPS[m["trap"]["kind"]]
         trap = make_trap(grid, *(m["trap"][k] for k in keys))
-        return ModelSpec(grid, trap, RotationSpec(m["omega"]), float(m["g"]))
+        return ModelSpec(grid, trap, RotationSpec(m["omega"]), m["g"])
 
 
-def _per_axis(value, dim):
+def _rounded(value):
+    """``value`` with every float in it, at any depth, rounded to 12 significant digits."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return tuple(value)
-    return (value,) * dim
-
-
-def solver_options(cfg):
-    with _reading("solver"):
-        s = cfg.get("solver", {})
-        return {
-            "tol": float(s.get("tol", 1e-8)),
-            "max_iter": _integer(s.get("max_iter", 200000)),
-            "restarts": _integer(s.get("restarts", 4)),
-            "seed": _integer(s.get("seed", 0)),
-        }
-
-
-def _dm_rank(cfg):
-    with _reading("dm"):
-        rank = _integer(cfg.get("dm", {}).get("rank", 2))
-    check_rank(rank)
-    return rank
-
-
-def sig12(x):
-    """Round to 12 significant digits for byte-stable emission."""
-    if x is None:
-        return None
-    return float(f"{float(x):.12g}")
+        return [_rounded(v) for v in value]
+    return value
 
 
 def write_json(path, payload, digest, seed):
-    payload = dict(payload)
-    payload["config_hash"] = digest
-    payload["seed"] = seed
+    payload = _rounded({**payload, "config_hash": digest, "seed": seed})
     with atomic_open(path, "w") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -209,28 +238,13 @@ def _csv_cell(v):
     return str(v)
 
 
-def _gp_payload(result):
-    return {
-        "energy": sig12(result.energy),
-        "mu": sig12(result.mu),
-        "breakdown": {
-            "kinetic": sig12(result.breakdown.kinetic),
-            "potential": sig12(result.breakdown.potential),
-            "rotational": sig12(result.breakdown.rotational),
-            "interaction": sig12(result.breakdown.interaction),
-        },
-        "residual": sig12(result.residual),
-        "iterations": result.iterations,
-        "restarts_used": result.restarts_used,
-    }
-
-
-def _emit_field_artifacts(outdir, stem, phi, cfg, digest, seed):
+def _emit_field_artifacts(outdir, stem, phi, cfg, digest):
+    seed = cfg["solver"]["seed"]
     stamp = f"config_hash={digest} seed={seed}"
-    if _flag(cfg, "outputs", "emit_fields"):
+    if cfg["outputs"]["emit_fields"]:
         write_field_text(os.path.join(outdir, stem + ".csv"), phi, extra=stamp)
         write_field_raw(os.path.join(outdir, stem + ".raw"), phi, extra=stamp)
-    if _flag(cfg, "outputs", "emit_images") and phi.grid.dim == 2:
+    if cfg["outputs"]["emit_images"] and phi.grid.dim == 2:
         dens = phi.values.real**2 + phi.values.imag**2
         diagnostics.write_pgm(os.path.join(outdir, stem + "_density.pgm"), dens,
                               comment=stamp)
@@ -241,44 +255,41 @@ def _emit_field_artifacts(outdir, stem, phi, cfg, digest, seed):
 
 
 def cmd_gp_min(cfg, digest, outdir, workers):
-    spec = build_model(cfg)
-    opts = solver_options(cfg)
-    point = solve_point(spec, (), None, **opts)  # no DM ranks, so no DM tolerance
-    payload = _gp_payload(point.best)
-    payload["vortex_count"] = point.vortices.count
-    payload["total_winding"] = point.vortices.total_winding
-    payload["Lz"] = sig12(point.vortices.Lz_expectation)
+    opts = cfg["solver"]
+    point = solve_point(build_model(cfg["model"]), (), None, **opts)  # no DM ranks, no DM tol
+    best, report = point.best, point.vortices
+    payload = {"energy": best.energy, "mu": best.mu, "breakdown": asdict(best.breakdown),
+               "residual": best.residual, "iterations": best.iterations,
+               "restarts_used": best.restarts_used, "vortex_count": report.count,
+               "total_winding": report.total_winding, "Lz": report.Lz_expectation}
     if point.s_metric is not None:
-        payload["s_metric"] = sig12(point.s_metric)
+        payload["s_metric"] = point.s_metric
     write_json(os.path.join(outdir, "gp_result.json"), payload, digest, opts["seed"])
-    _emit_field_artifacts(outdir, "gp_phi", point.best.phi, cfg, digest, opts["seed"])
+    _emit_field_artifacts(outdir, "gp_phi", best.phi, cfg, digest)
     return 0
 
 
 def cmd_dm_min(cfg, digest, outdir, workers):
-    spec = build_model(cfg)
-    opts = solver_options(cfg)
-    result = minimize_dm(spec, _dm_rank(cfg), **opts)
+    opts = cfg["solver"]
+    result = minimize_dm(build_model(cfg["model"]), cfg["dm"]["rank"], **opts)
     payload = {
-        "energy": sig12(result.energy),
-        "weights": [sig12(w) for w in result.state.weights],
-        "orbital_h0": [sig12(h) for h in result.orbital_energies],
-        "residual": sig12(result.residual),
+        "energy": result.energy,
+        "weights": list(result.state.weights),
+        "orbital_h0": list(result.orbital_energies),
+        "residual": result.residual,
         "iterations": result.iterations,
         "restarts_used": result.restarts_used,
     }
     write_json(os.path.join(outdir, "dm_result.json"), payload, digest, opts["seed"])
     for i, phi in enumerate(result.state.orbitals):
-        _emit_field_artifacts(outdir, f"dm_orbital_{i}", phi, cfg, digest, opts["seed"])
+        _emit_field_artifacts(outdir, f"dm_orbital_{i}", phi, cfg, digest)
     return 0
 
 
 def _point_model(job):
     """The model of one (cfg, parameter, value) sweep job."""
     cfg, parameter, value = job
-    cfg = json.loads(json.dumps(cfg))  # deep copy
-    cfg["model"]["g" if parameter == "g" else "omega"] = value
-    return build_model(cfg)
+    return build_model({**cfg["model"], "g" if parameter == "g" else "omega": value})
 
 
 def sweep_point(job):
@@ -287,28 +298,25 @@ def sweep_point(job):
     Returns the job's ``sweep.csv`` row.
     """
     cfg, value = job[0], job[2]
-    opts = solver_options(cfg)
-    point = solve_point(_point_model(job), (_dm_rank(cfg),), max(opts["tol"], 1e-7), **opts)
+    opts = cfg["solver"]
+    point = solve_point(_point_model(job), (cfg["dm"]["rank"],), max(opts["tol"], 1e-7),
+                        **opts)
     best, report, (dm_result,) = point.best, point.vortices, point.dm
-    return [sig12(value), sig12(best.energy), sig12(best.mu), report.count,
-            report.total_winding, sig12(report.Lz_expectation), sig12(point.s_metric),
-            point.clusters.n_distinct_minimizers, sig12(dm_result.energy),
-            sig12(dm_result.energy - best.energy)]
+    return [value, best.energy, best.mu, report.count, report.total_winding,
+            report.Lz_expectation, point.s_metric, point.clusters.n_distinct_minimizers,
+            dm_result.energy, dm_result.energy - best.energy]
 
 
 def cmd_sweep(cfg, digest, outdir, workers):
-    sweep = cfg.get("sweep", {})
-    parameter, values = sweep.get("parameter"), sweep.get("values")
-    if parameter not in ("g", "omega_z") or not isinstance(values, list) or not values:
+    parameter, values = cfg["sweep"].get("parameter"), cfg["sweep"].get("values")
+    if parameter not in ("g", "omega_z") or not values:
         raise ConfigError("sweep needs parameter 'g' or 'omega_z' and a nonempty values list")
-    with _reading("sweep"):
-        jobs = [(cfg, parameter, float(v)) for v in values]
+    jobs = [(cfg, parameter, v) for v in values]
     # a bad rank or a bad model at any point fails here, before the first
     # solve; the points rebuild their models, so no spec outlives its point
-    _dm_rank(cfg)
+    check_rank(cfg["dm"]["rank"])
     for job in jobs:
         _point_model(job)
-    seed = solver_options(cfg)["seed"]
     workers = min(workers, len(jobs))  # a fork pool starts all its workers at once
     if workers > 1:
         # one thread per worker process: k workers on k cores, not k x k
@@ -319,82 +327,51 @@ def cmd_sweep(cfg, digest, outdir, workers):
         rows = [sweep_point(j) for j in jobs]
     header = [parameter, "energy", "mu", "vortex_count", "total_winding",
               "Lz", "s_metric", "n_clusters", "e_dm", "dm_gap"]
-    write_csv(os.path.join(outdir, "sweep.csv"), header, rows, digest, seed)
+    write_csv(os.path.join(outdir, "sweep.csv"), header, rows, digest, cfg["solver"]["seed"])
     return 0
 
 
 def cmd_fock(cfg, digest, outdir, workers):
-    spec = build_model(cfg)
-    seed = solver_options(cfg)["seed"]
-    with _reading("fock"):
-        f = cfg.get("fock", {})
-        modes, g = _integer(f.get("modes", 4)), float(f.get("g", 0.5))
-        n_values = [_integer(n) for n in f.get("n_values", [2, 4, 6, 8])]
-    rows = gp_limit_scan(spec, modes, g, n_values, pair_kind=f.get("pair", "delta"),
-                         with_absolute=_flag(cfg, "fock", "with_absolute"))
-    header = ["N", "a", "E0_over_N", "E_gp_truncated", "condensate_fraction", "E_abs"]
-    table = [
-        [r.N, sig12(r.a), sig12(r.E0_over_N), sig12(r.E_gp_truncated),
-         sig12(r.condensate_fraction), sig12(r.E_abs)]
-        for r in rows
-    ]
-    write_csv(os.path.join(outdir, "fock.csv"), header, table, digest, seed)
+    f = cfg["fock"]
+    rows = gp_limit_scan(build_model(cfg["model"]), f["modes"], f["g"], f["n_values"],
+                         pair_kind=f["pair"], with_absolute=f["with_absolute"])
+    write_csv(os.path.join(outdir, "fock.csv"), [fl.name for fl in fields(ScanRow)],
+              [astuple(r) for r in rows], digest, cfg["solver"]["seed"])
     return 0
 
 
 def cmd_coherent(cfg, digest, outdir, workers):
-    seed = solver_options(cfg)["seed"]
+    c = cfg["coherent"]
     # coherent_state_checks checks its inputs, then runs closed-form
     # quadratures (no solve), so a ValueError from it is a bad value
     with _reading("coherent"):
-        c = cfg.get("coherent", {})
-        z = c.get("z", [1.0, 1.0])
         report = coherent_state_checks(
-            D=_integer(c.get("truncation", 64)),
-            z=complex(float(z[0]), float(z[1])),
-            Z=float(c.get("quad_radius", 8.0)),
-            n_max=_integer(c.get("n_max", 8)),
-            radial_points=_integer(c.get("radial_points", 128)),
-            angular_points=_integer(c.get("angular_points", 256)),
+            D=c["truncation"], z=complex(*c["z"]), Z=c["quad_radius"], n_max=c["n_max"],
+            radial_points=c["radial_points"], angular_points=c["angular_points"],
         )
-    payload = {
-        "annihilation_error": sig12(report.annihilation_error),
-        "number_error": sig12(report.number_error),
-        "completeness_error": sig12(report.completeness_error),
-        "upper_symbol_error": sig12(report.upper_symbol_error),
-        "shifted_number_error": sig12(report.shifted_number_error),
-    }
-    write_json(os.path.join(outdir, "coherent.json"), payload, digest, seed)
+    write_json(os.path.join(outdir, "coherent.json"), asdict(report), digest,
+               cfg["solver"]["seed"])
     return 0
 
 
 def cmd_scatter(cfg, digest, outdir, workers):
-    seed = solver_options(cfg)["seed"]
-    s = cfg.get("scatter", {})
+    s, seed = cfg["scatter"], cfg["solver"]["seed"]
     if "potential" not in s:
         raise ConfigError("scatter subcommand needs scatter.potential")
     with _reading("scatter"):
         make_potential, keys = _POTENTIALS[s["potential"]["kind"]]
-        v = make_potential(*(float(s["potential"][k]) for k in keys))
-        scaled = [(float(a), scale_potential(v, float(a))) for a in s.get("scales") or []]
-        born_values = [float(a) for a in s.get("born_a_values") or []]
-    if born_values and not isinstance(v, SoftShell):
+        v = make_potential(*(s["potential"][k] for k in keys))
+        scaled = [(a, scale_potential(v, a)) for a in s["scales"]]
+    if s["born_a_values"] and not isinstance(v, SoftShell):
         raise ConfigError("born_a_values requires a soft_shell potential")
-    payload = {"scattering_length": sig12(scattering_length(v))}
+    payload = {"scattering_length": scattering_length(v)}
     if scaled:
-        payload["scaled"] = [
-            {"scale": sig12(a), "scattering_length": sig12(scattering_length(va))}
-            for a, va in scaled
-        ]
+        payload["scaled"] = [{"scale": a, "scattering_length": scattering_length(va)}
+                             for a, va in scaled]
     write_json(os.path.join(outdir, "scatter.json"), payload, digest, seed)
-    if born_values:
-        rows = born_check(v, born_values)
-        write_csv(
-            os.path.join(outdir, "born.csv"),
-            ["a", "s_of_a", "rel_deviation"],
-            [[sig12(a), sig12(sv), sig12(dev)] for a, sv, dev in rows],
-            digest, seed,
-        )
+    if s["born_a_values"]:
+        write_csv(os.path.join(outdir, "born.csv"), ["a", "s_of_a", "rel_deviation"],
+                  born_check(v, s["born_a_values"]), digest, seed)
     return 0
 
 
@@ -425,9 +402,11 @@ def main(argv=None):
         if workers is None:
             with _reading("ROTBEC_WORKERS"):
                 workers = int(os.environ.get("ROTBEC_WORKERS", "1"))
+        if workers < 1:
+            raise ConfigError(f"the worker count must be at least 1, got {workers}")
         cfg, digest = load_config(args.config)
-        with _reading("outputs"):
-            outdir = cfg.get("outputs", {}).get("directory", ".")
+        outdir = cfg["outputs"]["directory"]
+        with _reading("outputs.directory"):
             os.makedirs(outdir, exist_ok=True)
         if args.verbose:
             print(f"rotbec {args.subcommand}: config {digest}, outputs in {outdir}",

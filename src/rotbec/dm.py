@@ -28,6 +28,10 @@ from .lattice import Field
 
 _ORTHO_TOL = 1e-10
 _SIMPLEX_TOL = 1e-12
+# Gram-Schmidt replaces a row whose projected norm is at most _DROP_TOL by
+# enveloped noise drawn from default_rng(_NOISE_SEED)
+_DROP_TOL = 1e-8
+_NOISE_SEED = 2**31 - 1
 
 
 def check_rank(n):
@@ -142,17 +146,17 @@ def minimize_weights(h, G, lam0, tol=1e-10, max_iter=200000):
     )
 
 
-def _orthonormal_rows(rows, dV, grid, drop_tol=1e-8, rng=None):
+def _orthonormal_rows(rows, dV, grid):
     """Gram-Schmidt on stacked fields; degenerate rows become fresh noise."""
-    out = []
+    out, rng = [], None
     for v in rows:
         w = np.asarray(v, dtype=complex).copy()
         for u in out:
             w -= u * (np.vdot(u, w) * dV)
         nrm = float(np.linalg.norm(w)) * math.sqrt(dV)
-        while nrm <= drop_tol:
+        while nrm <= _DROP_TOL:
             if rng is None:
-                rng = np.random.default_rng(2**31 - 1)
+                rng = np.random.default_rng(_NOISE_SEED)
             w = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
             w = w * gaussian_envelope(grid)
             for u in out:

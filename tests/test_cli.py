@@ -101,6 +101,24 @@ _SOFT_SHELL = {"kind": "soft_shell", "r_inner": 0.5, "r_outer": 1.0}
     ("scatter", {"scatter": {"potential": {"kind": "gaussian", "amplitude": 1.0,
                                            "width": 1.0}, "scales": [1e200]}}),
     ("scatter", {"scatter": {"potential": _SOFT_SHELL, "scales": [1e-200]}}),
+    ("gp-min", {"model": {"g": True}}),
+    ("gp-min", {"model": {"g": math.inf}}),
+    ("gp-min", {"model": {"half_width": True}}),
+    ("gp-min", {"model": {"omega": "0.5"}}),
+    ("gp-min", {"model": {"omega": math.nan}}),
+    ("gp-min", {"model": {"trap": {"kind": "harmonic", "nu": [True, True]}}}),
+    ("gp-min", {"model": {"trap": {"kind": "quartic", "nu": 1.0, "lambda": "0.1"}}}),
+    ("gp-min", {"solver": {"tol": "1e-8"}}),
+    ("gp-min", {"solver": {"tol": math.nan}}),
+    ("sweep", {"sweep": {"parameter": "g", "values": [True]}}),
+    ("fock", {"model": _HARMONIC_16, "fock": {"modes": 2, "g": "0.5", "n_values": [2]}}),
+    ("coherent", {"coherent": {"z": ["1", "1"]}}),
+    ("coherent", {"coherent": {"z": [1.0, 1.0, 1.0]}}),
+    ("coherent", {"coherent": {"quad_radius": "8"}}),
+    ("scatter", {"scatter": {"potential": {"kind": "hard_sphere", "radius": "0.7"}}}),
+    ("scatter", {"scatter": {"potential": _SOFT_SHELL, "scales": ["2"]}}),
+    ("scatter", {"scatter": {"potential": _SOFT_SHELL, "scales": None}}),
+    ("scatter", {"scatter": {"potential": _SOFT_SHELL, "born_a_values": [True]}}),
 ], ids=["trap-not-object", "sampled-file-missing", "hard-sphere-no-radius",
         "soft-shell-empty", "fock-N-1", "fock-M-7", "coherent-D-8", "restarts-not-int",
         "dm-rank-9", "sweep-value-not-number", "scale-negative", "square-well-resonance",
@@ -109,7 +127,11 @@ _SOFT_SHELL = {"kind": "soft_shell", "r_inner": 0.5, "r_outer": 1.0}
         "square-well-zero-radius", "fock-absolute-string", "emit-fields-string",
         "dm-rank-fraction", "dm-rank-string", "max-iter-true", "restarts-infinite",
         "seed-nan", "dim-fraction", "points-fraction", "fock-N-fraction", "coherent-n-max-true",
-        "square-well-scale-underflow", "gaussian-scale-overflow", "soft-shell-scale-underflow"])
+        "square-well-scale-underflow", "gaussian-scale-overflow", "soft-shell-scale-underflow",
+        "g-true", "g-infinite", "half-width-true", "omega-string", "omega-nan", "nu-true",
+        "lambda-string", "tol-string", "tol-nan", "sweep-value-true", "fock-g-string",
+        "coherent-z-strings", "coherent-z-three-entries", "quad-radius-string",
+        "potential-radius-string", "scale-string", "scales-null", "born-a-true"])
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, subcommand, overrides):
     path = tmp_path / "cfg.json"
     write_config(path, **overrides)
@@ -123,6 +145,21 @@ def test_integer_options_take_integral_floats(tmp_path):
     write_config(path, model={"dim": 2.0},
                  solver={"tol": 1e-8, "max_iter": 5000.0, "restarts": 1.0, "seed": 3.0})
     assert main(["gp-min", "--config", str(path)]) == 0
+
+
+def test_integer_values_read_as_reals(tmp_path):
+    """A JSON integer where a real is expected gives the bytes of the same float."""
+    outputs = []
+    for g, half_width, omega in [(2, [6, 6], 0), (2.0, [6.0, 6.0], 0.0)]:
+        path = tmp_path / "cfg.json"
+        outdir = tmp_path / f"out-{type(g).__name__}"
+        write_config(path, model={"g": g, "half_width": half_width, "omega": omega},
+                     outputs={"directory": str(outdir), "emit_fields": True})
+        assert main(["gp-min", "--config", str(path)]) == 0
+        digest = load_config(path)[1].encode()
+        outputs.append({p.name: p.read_bytes().replace(digest, b"HASH")
+                        for p in sorted(outdir.iterdir())})
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
 
 def test_solver_value_error_is_not_a_config_error(tmp_path, monkeypatch):
@@ -273,10 +310,15 @@ def _two_point_sweep(tmp_path):
     return path
 
 
-def test_bad_worker_count_env_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ROTBEC_WORKERS", "two")
-    assert main(["sweep", "--config", str(_two_point_sweep(tmp_path))]) == 2
-    assert "config error" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, env", [([], "two"), ([], "-1"), ([], "0"),
+                                       (["--workers", "0"], None), (["--workers", "-3"], None)],
+                         ids=["env-two", "env-minus-1", "env-0", "flag-0", "flag-minus-3"])
+def test_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys, argv, env):
+    if env is not None:
+        monkeypatch.setenv("ROTBEC_WORKERS", env)
+    assert main(["sweep", "--config", str(_two_point_sweep(tmp_path)), *argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rotbec: config error: "), err
 
 
 @pytest.mark.parametrize("values, rank", [([0.0, 2.0], 9), ([0.0, -1.0], 2)],
