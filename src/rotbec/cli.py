@@ -27,7 +27,7 @@ from .dm import check_rank, minimize_dm
 from .errors import ConfigError, InvalidState, NoConvergence, NonFiniteScatteringLength, Unstable
 from .lattice import Grid, atomic_open, limit_threads, write_field_raw, write_field_text
 from .manybody import ScanRow, coherent_state_checks, gp_limit_scan
-from .model import HarmonicTrap, ModelSpec, QuarticTrap, RotationSpec, SampledTrap
+from .model import HarmonicTrap, ModelSpec, QuarticTrap, RotationSpec, SampledTrap, per_axis
 from .scatter import (
     GaussianBump,
     HardSphere,
@@ -93,10 +93,10 @@ def _list(read, length=None):
     return read_list
 
 
-def _per_axis(read):
-    """A reader for one ``read`` value for every axis, or a list of them."""
+def _one_or_list(read):
+    """A reader for a list of ``read`` values, or for one value, read as a 1-tuple."""
     read_list = _list(read)
-    return lambda value: read_list(value) if isinstance(value, list) else read(value)
+    return lambda value: read_list(value) if isinstance(value, list) else (read(value),)
 
 
 def _kind(table):
@@ -117,9 +117,9 @@ def _kind(table):
 
 # kind -> (constructor, {argument key: reader}); a trap's constructor takes the grid first
 _TRAPS = {
-    "harmonic": (lambda grid, nu: HarmonicTrap(nu), {"nu": _per_axis(_real)}),
+    "harmonic": (lambda grid, nu: HarmonicTrap(nu), {"nu": _one_or_list(_real)}),
     "quartic": (lambda grid, nu, lam: QuarticTrap(nu, lam),
-                {"nu": _per_axis(_real), "lambda": _real}),
+                {"nu": _one_or_list(_real), "lambda": _real}),
     "sampled": (lambda grid, path: SampledTrap(np.loadtxt(path).reshape(grid.shape)),
                 {"values_file": _string}),
 }
@@ -132,9 +132,9 @@ _POTENTIALS = {
 # section -> key -> (reader, default); a key without a default (None) is
 # absent unless given, and the subcommands that need it say so
 _SCHEMA = {
-    "model": {"dim": (_integer, None), "half_width": (_per_axis(_real), None),
-              "points": (_per_axis(_integer), None), "trap": (_kind(_TRAPS), None),
-              "omega": (_per_axis(_real), None), "g": (_real, None)},
+    "model": {"dim": (_integer, None), "half_width": (_one_or_list(_real), None),
+              "points": (_one_or_list(_integer), None), "trap": (_kind(_TRAPS), None),
+              "omega": (_one_or_list(_real), None), "g": (_real, None)},
     "solver": {"tol": (_real, 1e-8), "max_iter": (_integer, 200000),
                "restarts": (_integer, 4), "seed": (_integer, 0)},
     "sweep": {"parameter": (_string, None), "values": (_list(_real), None)},
@@ -198,8 +198,8 @@ def build_model(m):
     """The ModelSpec of a read ``model`` section."""
     with _reading("model"):
         dim = m["dim"]
-        grid = Grid(*(m[k] if isinstance(m[k], tuple) else (m[k],) * dim
-                      for k in ("half_width", "points")))
+        grid = Grid(per_axis(m["half_width"], dim, "half widths"),
+                    per_axis(m["points"], dim, "point counts"))
         make_trap, keys = _TRAPS[m["trap"]["kind"]]
         trap = make_trap(grid, *(m["trap"][k] for k in keys))
         return ModelSpec(grid, trap, RotationSpec(m["omega"]), m["g"])

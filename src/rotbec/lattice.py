@@ -129,12 +129,8 @@ class Grid:
     points: tuple
 
     def __post_init__(self):
-        hw = tuple(float(h) for h in np.atleast_1d(self.half_widths))
-        pts = tuple(int(n) for n in np.atleast_1d(self.points))
-        if len(hw) == 1 and len(pts) > 1:
-            hw = hw * len(pts)
-        if len(pts) == 1 and len(hw) > 1:
-            pts = pts * len(hw)
+        hw = tuple(float(h) for h in self.half_widths)
+        pts = tuple(int(n) for n in self.points)
         object.__setattr__(self, "half_widths", hw)
         object.__setattr__(self, "points", pts)
         if self.dim not in (2, 3):

@@ -6,6 +6,10 @@ evaluated as -i (Omega ^ x) . grad: the coefficient of each derivative is a
 coordinate transverse to that derivative's axis, so coordinate
 multiplication and differentiation commute and the discrete operator stays
 Hermitian.
+
+Each trap kind answers for itself on a grid: its values (``evaluate``),
+whether it is axisymmetric and where V - |Omega ^ x|^2 / 4 fails to confine
+(``unconfined``: a witness point, or None).  ``ModelSpec`` evaluates V once.
 """
 
 import warnings
@@ -19,39 +23,64 @@ from .errors import NoConvergence, Unstable
 from .lattice import Field, blas_threads, fftn, ifftn
 
 
-def _axis_frequencies(nu, dim):
-    """One trap frequency per grid axis: a single value repeats, else one per axis."""
-    if len(nu) == 1:
-        return nu * dim
-    if len(nu) != dim:
-        raise ValueError(f"{len(nu)} trap frequencies for a {dim}D grid")
-    return nu
+def per_axis(values, dim, what):
+    """One value per grid axis: a single value repeats, else exactly ``dim`` of them.
+
+    ``what`` names the values in the error, e.g. "2 trap frequencies for a 3D grid".
+    """
+    values = tuple(values)
+    if len(values) == 1:
+        return values * dim
+    if len(values) != dim:
+        raise ValueError(f"{len(values)} {what} for a {dim}D grid")
+    return values
 
 
 class HarmonicTrap:
-    """V = sum_a nu_a^2 x_a^2."""
+    """V = sum_a nu_a^2 x_a^2 with nu_a > 0."""
 
     def __init__(self, nu):
         self.nu = tuple(float(v) for v in np.atleast_1d(nu))
         if any(v <= 0 for v in self.nu):
             raise ValueError("harmonic trap frequencies must be positive")
 
+    def frequencies(self, dim):
+        return per_axis(self.nu, dim, "trap frequencies")
+
+    def _base(self, grid):
+        """The part of V that the axis terms are added to."""
+        return np.zeros(grid.shape)
+
     def evaluate(self, grid):
-        V = np.zeros(grid.shape)
+        V = self._base(grid)
         for v, x in zip(self.frequencies(grid.dim), grid.meshes):
             V = V + (v * v) * x**2
         return V
-
-    def frequencies(self, dim):
-        return _axis_frequencies(self.nu, dim)
 
     def is_axisymmetric(self, grid):
         nu = self.frequencies(grid.dim)
         return nu[0] == nu[1]
 
+    def unconfined(self, rotation, grid):
+        """On the grid axes V - |Omega ^ x|^2 / 4 = x^T A x, A = diag(nu^2) -
+        (|Omega|^2 I - Omega Omega^T) / 4, which confines iff A's lowest
+        eigenvalue is > 0 (Omega along a grid axis: transverse nu^2 > |Omega|^2/4).
+        Witness: that eigenvector, scaled so its largest component is the
+        outermost grid coordinate of its axis.
+        """
+        om, dim = np.array(rotation.omega), grid.dim
+        A = np.diag(np.array(self.frequencies(dim)) ** 2) - (
+            np.dot(om, om) * np.eye(dim) - np.outer(om[:dim], om[:dim])) / 4.0
+        vals, vecs = np.linalg.eigh(A)
+        if vals[0] > 0:
+            return None
+        v = vecs[:, 0]
+        a = int(np.argmax(np.abs(v)))
+        return tuple(float(c) + 0.0 for c in v / v[a] * grid.axis_coordinates(a)[-1])  # no -0.0
 
-class QuarticTrap:
-    """V = sum_a nu_a^2 x_a^2 + lam |x|^4 with lam > 0 (confines any Omega)."""
+
+class QuarticTrap(HarmonicTrap):
+    """V = lam |x|^4 + sum_a nu_a^2 x_a^2 with lam > 0 (any nu, even 0; confines any Omega)."""
 
     def __init__(self, nu, lam):
         self.nu = tuple(float(v) for v in np.atleast_1d(nu))
@@ -59,15 +88,11 @@ class QuarticTrap:
         if self.lam <= 0:
             raise ValueError("quartic coefficient must be positive")
 
-    def evaluate(self, grid):
-        V = grid.radius2_mesh**2 * self.lam
-        for v, x in zip(_axis_frequencies(self.nu, grid.dim), grid.meshes):
-            V = V + (v * v) * x**2
-        return V
+    def _base(self, grid):
+        return grid.radius2_mesh**2 * self.lam
 
-    def is_axisymmetric(self, grid):
-        nu = _axis_frequencies(self.nu, grid.dim)
-        return nu[0] == nu[1]
+    def unconfined(self, rotation, grid):
+        return None
 
 
 class SampledTrap:
@@ -90,10 +115,25 @@ class SampledTrap:
         rot = np.rot90(V, axes=(0, 1))
         return bool(np.allclose(V, rot, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(V)))))
 
+    def unconfined(self, rotation, grid):
+        """The shell test: the lowest point of V - |Omega ^ x|^2 / 4 on the
+        outermost grid shell, unless it lies more than 1e-9 above the centre
+        value.  Not rotating, a finite box confines any bounded sampled V.
+        """
+        if rotation.is_zero:
+            return None
+        eff = self.evaluate(grid) - centrifugal_term(rotation, grid)
+        interior = np.zeros(grid.shape, dtype=bool)
+        interior[(slice(1, -1),) * grid.dim] = True
+        worst = np.unravel_index(np.argmin(np.where(interior, np.inf, eff)), grid.shape)
+        if eff[worst] > eff[tuple(n // 2 for n in grid.points)] + 1e-9:
+            return None
+        return tuple(float(grid.axis_coordinates(a)[i]) for a, i in enumerate(worst))
+
 
 @dataclass(frozen=True)
 class RotationSpec:
-    """Angular velocity vector; in 2D only the out-of-plane component."""
+    """Angular velocity vector of Python floats; a single value is the z component."""
 
     omega: tuple
 
@@ -103,19 +143,17 @@ class RotationSpec:
             om = np.array([0.0, 0.0, float(om[0])])
         if om.shape != (3,):
             raise ValueError("omega must be a scalar (z component) or a 3-vector")
-        object.__setattr__(self, "omega", tuple(om))
-
-    @property
-    def omega_z(self):
-        return self.omega[2]
-
-    @property
-    def magnitude(self):
-        return float(np.linalg.norm(self.omega))
+        object.__setattr__(self, "omega", tuple(om.tolist()))
 
     @property
     def is_zero(self):
-        return self.magnitude == 0.0
+        return not any(self.omega)
+
+    @property
+    def axis(self):
+        """The grid axis Omega points along (2, the z axis, when zero), or None when tilted."""
+        nonzero = [a for a, w in enumerate(self.omega) if w] or [2]
+        return nonzero[0] if len(nonzero) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -127,51 +165,16 @@ class StabilityResult:
         return self.stable
 
 
-def check_stability(trap, rotation, grid=None, margin=1e-9):
-    """Decide whether V - |Omega ^ x|^2 / 4 confines.
+def check_stability(trap, rotation, grid):
+    """Decide whether V - |Omega ^ x|^2 / 4 confines, by the trap kind's own rule.
 
-    Harmonic traps use the closed form (transverse nu^2 > |Omega|^2/4),
-    quartic traps always confine, and sampled traps are tested by comparing
-    the effective potential on the outermost grid shell against its value
-    at the center.  The shell test also serves as fallback for rotation
-    axes that are not grid axes.
+    Harmonic traps use the exact quadratic-form rule, quartic traps always
+    confine and sampled traps run a boundary-shell test while rotating (see
+    each ``unconfined``).  An unstable result carries a witness, a point (a
+    tuple of floats) where the effective potential is not above its centre value.
     """
-    om = np.asarray(rotation.omega)
-    if isinstance(trap, QuarticTrap):
-        return StabilityResult(True)
-    if rotation.is_zero and isinstance(trap, SampledTrap):
-        # no centrifugal term to escape along; a finite box confines any
-        # bounded sampled potential
-        return StabilityResult(True)
-    if isinstance(trap, HarmonicTrap) and _axis_aligned(om) is not None:
-        axis = _axis_aligned(om)
-        dim = grid.dim if grid is not None else 3
-        nu = trap.frequencies(dim)
-        crit = np.dot(om, om) / 4.0
-        for a in range(dim):
-            if a == axis:
-                continue
-            if not nu[a] ** 2 > crit:
-                witness = None
-                if grid is not None:
-                    pos = [0.0] * grid.dim
-                    pos[a] = grid.axis_coordinates(a)[-1]
-                    witness = tuple(pos)
-                return StabilityResult(False, witness)
-        return StabilityResult(True)
-    if grid is None:
-        raise ValueError("sampled-trap stability test requires a grid")
-    return _shell_stability(trap, rotation, grid, margin)
-
-
-def _axis_aligned(om):
-    """Index of the single nonzero component, or None."""
-    nz = np.nonzero(om)[0]
-    if nz.size == 0:
-        return 2
-    if nz.size == 1:
-        return int(nz[0])
-    return None
+    witness = trap.unconfined(rotation, grid)
+    return StabilityResult(witness is None, witness)
 
 
 def _omega_cross_x(rotation, grid):
@@ -189,25 +192,6 @@ def centrifugal_term(rotation, grid):
     return 0.25 * (cx**2 + cy**2 + cz**2)
 
 
-def _shell_stability(trap, rotation, grid, margin):
-    eff = trap.evaluate(grid) - centrifugal_term(rotation, grid)
-    shell = np.zeros(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        idx = [slice(None)] * grid.dim
-        idx[axis] = 0
-        shell[tuple(idx)] = True
-        idx[axis] = -1
-        shell[tuple(idx)] = True
-    center_idx = tuple(n // 2 for n in grid.points)
-    center_val = eff[center_idx]
-    shell_vals = np.where(shell, eff, np.inf)
-    worst = np.unravel_index(np.argmin(shell_vals), grid.shape)
-    if eff[worst] > center_val + margin:
-        return StabilityResult(True)
-    witness = tuple(float(grid.axis_coordinates(a)[i]) for a, i in enumerate(worst))
-    return StabilityResult(False, witness)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Grid + trap + rotation + coupling; defines H0 and the GP functional."""
@@ -222,8 +206,7 @@ class ModelSpec:
             raise ValueError("coupling g must be nonnegative")
         if self.grid.dim == 2 and any(self.rotation.omega[:2]):
             raise ValueError("a 2D grid allows only the out-of-plane rotation component")
-        if isinstance(self.trap, (HarmonicTrap, QuarticTrap)):
-            _axis_frequencies(self.trap.nu, self.grid.dim)  # raises on a count mismatch
+        self.V  # raises when the trap does not fit the grid
         result = check_stability(self.trap, self.rotation, self.grid)
         if not result:
             raise Unstable(
@@ -232,9 +215,12 @@ class ModelSpec:
 
     @property
     def is_axisymmetric(self):
-        return self.trap.is_axisymmetric(self.grid) and _axis_aligned(
-            np.asarray(self.rotation.omega)
-        ) == 2
+        return self.trap.is_axisymmetric(self.grid) and self.rotation.axis == 2
+
+    @cached_property
+    def V(self):
+        """The trap on the grid, evaluated once per spec."""
+        return self.trap.evaluate(self.grid)
 
     @cached_property
     def h0(self):
@@ -253,12 +239,12 @@ class H0Action:
     def __init__(self, spec):
         grid = spec.grid
         self.grid = grid
-        self.V = spec.trap.evaluate(grid)
+        self.V = spec.V
         self.k2 = grid.k2_mesh
         self.ik = grid.ik_meshes
         # Omega.L = -i (Omega ^ x).grad; store the real coefficient meshes
         self.rot_coeffs = None
-        if spec.rotation.magnitude != 0.0:
+        if not spec.rotation.is_zero:
             self.rot_coeffs = [c if np.any(c) else None
                                for c in _omega_cross_x(spec.rotation, grid)[: grid.dim]]
 

@@ -119,6 +119,9 @@ _SOFT_SHELL = {"kind": "soft_shell", "r_inner": 0.5, "r_outer": 1.0}
     ("scatter", {"scatter": {"potential": _SOFT_SHELL, "scales": ["2"]}}),
     ("scatter", {"scatter": {"potential": _SOFT_SHELL, "scales": None}}),
     ("scatter", {"scatter": {"potential": _SOFT_SHELL, "born_a_values": [True]}}),
+    ("gp-min", {"model": {"dim": 3, "half_width": [6.0, 6.0], "points": [16, 16]}}),
+    ("gp-min", {"model": {"dim": 2, "half_width": [6.0, 6.0, 6.0], "points": [16, 16, 16],
+                          "trap": {"kind": "harmonic", "nu": 1.0}}}),
 ], ids=["trap-not-object", "sampled-file-missing", "hard-sphere-no-radius",
         "soft-shell-empty", "fock-N-1", "fock-M-7", "coherent-D-8", "restarts-not-int",
         "dm-rank-9", "sweep-value-not-number", "scale-negative", "square-well-resonance",
@@ -131,7 +134,8 @@ _SOFT_SHELL = {"kind": "soft_shell", "r_inner": 0.5, "r_outer": 1.0}
         "g-true", "g-infinite", "half-width-true", "omega-string", "omega-nan", "nu-true",
         "lambda-string", "tol-string", "tol-nan", "sweep-value-true", "fock-g-string",
         "coherent-z-strings", "coherent-z-three-entries", "quad-radius-string",
-        "potential-radius-string", "scale-string", "scales-null", "born-a-true"])
+        "potential-radius-string", "scale-string", "scales-null", "born-a-true",
+        "dim-3-two-entry-lists", "dim-2-three-entry-lists"])
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, subcommand, overrides):
     path = tmp_path / "cfg.json"
     write_config(path, **overrides)
@@ -220,12 +224,15 @@ def test_gp_min_oscillator_3d(tmp_path):
     assert "config_hash=" in header and "seed=" in header
 
 
-def test_unstable_exit_code(tmp_path):
+def test_unstable_exit_code(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     write_config(path, model={"dim": 2, "half_width": 8.0, "points": 32,
                               "trap": {"kind": "harmonic", "nu": [1.0, 1.0]},
                               "omega": 2.5, "g": 0.0})
     assert main(["gp-min", "--config", str(path)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "rotbec: unstable trap: trap does not confine at Omega=(0.0, 0.0, 2.5) "
+        "(witness (7.75, 0.0))"]
 
 
 def test_no_convergence_exit_code(tmp_path):

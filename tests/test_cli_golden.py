@@ -9,6 +9,7 @@ payloads are built or how numbers are rounded must leave these bytes alone.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from rotbec.cli import main
@@ -16,6 +17,17 @@ from rotbec.cli import main
 _HARMONIC = {"dim": 2, "half_width": 7.0, "points": 32,
              "trap": {"kind": "harmonic", "nu": [1.0, 1.0]}, "omega": 0.5, "g": 4.0}
 _SOLVER = {"tol": 1e-7, "max_iter": 6000, "restarts": 1, "seed": 7}
+# the sampled case's values file, written by the test into the working
+# directory under this relative name, so that the config hash is fixed
+_SAMPLED_FILE = "sampled_trap.txt"
+
+
+def write_sampled_trap(directory):
+    """V = r^2 + 0.05 r^4 at the cell centres of _HARMONIC's 32^2 grid on [-7, 7)^2."""
+    x = -7.0 + (np.arange(32) + 0.5) * (14.0 / 32)
+    r2 = x[:, None] ** 2 + x[None, :] ** 2
+    np.savetxt(directory / _SAMPLED_FILE, r2 + 0.05 * r2**2, fmt="%.17g")
+
 
 CASES = {
     "gp-min-2d-vortex": ("gp-min", {"model": {**_HARMONIC, "omega": 0.8, "g": 15.0},
@@ -24,6 +36,16 @@ CASES = {
         "model": {"dim": 3, "half_width": 6.0, "points": 16,
                   "trap": {"kind": "quartic", "nu": 1.0, "lambda": 0.1},
                   "omega": [0.0, 0.0, 0.3], "g": 2.0},
+        "solver": _SOLVER}),
+    # rotating, so the sampled trap's boundary-shell test runs
+    "gp-min-2d-sampled": ("gp-min", {
+        "model": {**_HARMONIC, "trap": {"kind": "sampled", "values_file": _SAMPLED_FILE}},
+        "solver": _SOLVER}),
+    # a rotation axis that is no grid axis
+    "gp-min-3d-tilted": ("gp-min", {
+        "model": {"dim": 3, "half_width": 6.0, "points": 16,
+                  "trap": {"kind": "harmonic", "nu": 1.0},
+                  "omega": [0.3, 0.0, 0.5], "g": 2.0},
         "solver": _SOLVER}),
     "dm-min": ("dm-min", {"model": _HARMONIC, "solver": _SOLVER, "dm": {"rank": 2}}),
     "sweep-g": ("sweep", {"model": {**_HARMONIC, "points": 24}, "solver": _SOLVER,
@@ -89,6 +111,20 @@ PINS = {
         "gp_result.json":
             "88d93d442decd08fe274fefa288724b5a120fdf6aea2b512bf850ab41858e53d",
     },
+    "gp-min-2d-sampled": {
+        "gp_phi.csv":
+            "047bff6c5d907eb5054fe35648741e217d9b2feeee7985b1e6e9bb71a5f7179f",
+        "gp_phi.raw":
+            "db657c8dd7d64ef83dc9d472747521b8c97791eae08b820d3655585beb545bd3",
+        "gp_phi.raw.hdr":
+            "05f457c91e085e26354e8666fe3e987b238293e4f1b6c876dd40b6f85228fbe9",
+        "gp_phi_density.pgm":
+            "d7cf9816cc49d351b179d2945e88506c8b35f7fae96481cbdbb43b4392bf64a5",
+        "gp_phi_phase.pgm":
+            "56d71a25bff3daebf2fcb7f8fd059b7b6c71a809258c60999df38c2617b70341",
+        "gp_result.json":
+            "7bf7f92b094b372ee91af97721c7396900de0eba94738298acb436702576c2a5",
+    },
     "gp-min-3d-quartic": {
         "gp_phi.csv":
             "967dc55c03e336c8a3f86e3fc54735246e23c8681dd2e07d52aec7e8af7221c7",
@@ -98,6 +134,16 @@ PINS = {
             "139af4e3a4d636fe8197ad433142ece55dbfdf0d8c4e1738316daea276d9a328",
         "gp_result.json":
             "d05b60bf458c02b5bafd2af8bf118543f3c6d429ede245f337a957bb009aea68",
+    },
+    "gp-min-3d-tilted": {
+        "gp_phi.csv":
+            "e5dd11450bb93e2e6c85add52fda5f3bb4dade9d60dbacb5ae78224f5459d252",
+        "gp_phi.raw":
+            "f733ec24972dc661ceb5fff00af2e2d83a9c2ec60caeda790ebeb65f08ad5fcf",
+        "gp_phi.raw.hdr":
+            "a2145a0a5acf4807bfc52200a2a096d77c77693fe374ccdc4ea4c8a4a64a34d5",
+        "gp_result.json":
+            "a379a67c583e59e008434d72f1442d258635f86766502f6f1ab3d606e3176e84",
     },
     "scatter": {
         "born.csv":
@@ -129,5 +175,7 @@ def run_case(name, outdir):
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_outputs_are_byte_identical(tmp_path, name):
+def test_outputs_are_byte_identical(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    write_sampled_trap(tmp_path)
     assert run_case(name, tmp_path / "out") == PINS[name]

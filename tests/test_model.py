@@ -2,6 +2,8 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import rotbec.model
 from rotbec.errors import Unstable
@@ -52,10 +54,89 @@ def test_stability_quartic_any_omega():
 def test_stability_sampled_shell():
     V = GRID2.radius2_mesh.copy()
     trap = SampledTrap(V)
-    assert check_stability(trap, RotationSpec(1.0), GRID2, margin=1e-9).stable
+    assert check_stability(trap, RotationSpec(1.0), GRID2).stable
     assert not check_stability(trap, RotationSpec(2.5), GRID2).stable
     # flat potential confines in a periodic box when not rotating
     assert check_stability(SampledTrap(np.zeros(GRID2.shape)), RotationSpec(0.0), GRID2).stable
+
+
+_GRIDS = {2: Grid((5.0, 5.0), (8, 8)), 3: Grid((5.0,) * 3, (8,) * 3)}
+_NU = st.lists(st.floats(0.1, 4.0), min_size=3, max_size=3)
+# (dim, rotation axis); None is a tilted axis, which only a 3D grid allows
+_AXES = st.sampled_from([(2, 2), (3, 0), (3, 1), (3, 2), (3, None)])
+
+
+def _effective(nu, omega, x):
+    """V - |Omega ^ x|^2 / 4 of the harmonic trap ``nu`` at the point ``x``."""
+    x3 = np.zeros(3)
+    x3[:len(x)] = x
+    cross = np.cross(omega, x3)
+    return sum(v * v * c * c for v, c in zip(nu, x)) - cross @ cross / 4
+
+
+@settings(max_examples=200)
+@given(_AXES.filter(lambda d: d[1] is not None), _NU, st.floats(-10.0, 10.0))
+def test_stability_along_a_grid_axis(dim_axis, nu, w):
+    dim, axis = dim_axis
+    omega = [0.0, 0.0, 0.0]
+    omega[axis] = w
+    want = all(nu[a] * nu[a] > w * w / 4 for a in range(dim) if a != axis)
+    got = check_stability(HarmonicTrap(nu[:dim]), RotationSpec(omega), _GRIDS[dim])
+    assert got.stable == want
+    assert (got.witness is None) == want
+
+
+@settings(max_examples=100)
+@given(_AXES, _NU, st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       st.floats(1.01, 3.0))
+# Omega = (1.5, 0, 1.5), nu = 1: the witness is (x, 0, -x) for the outermost x;
+# the outermost point (x, 0, 0) on its largest component's axis would be none,
+# as V - |Omega ^ x|^2 / 4 = 7 x^2 / 16 > 0 there
+@example((3, None), [1.0, 1.0, 1.0], [1.0, 0.0, 1.0], 1.5 / 2**0.5)
+def test_harmonic_witness_does_not_confine(dim_axis, nu, direction, excess):
+    """Unstable by a margin: |Omega| = 2 excess max(nu) (tilted), or
+    2 excess min(transverse nu) along a grid axis."""
+    dim, axis = dim_axis
+    nu = nu[:dim]
+    if axis is None:
+        direction = np.array(direction)
+        assume(np.count_nonzero(np.abs(direction) > 0.1) >= 2)
+        omega = direction / np.linalg.norm(direction) * (2 * max(nu) * excess)
+    else:
+        omega = np.zeros(3)
+        omega[axis] = 2 * min(v for a, v in enumerate(nu) if a != axis) * excess
+    result = check_stability(HarmonicTrap(nu), RotationSpec(omega), _GRIDS[dim])
+    assert not result.stable
+    witness = result.witness
+    assert all(type(c) is float for c in witness)
+    assert max(witness) in [float(_GRIDS[dim].axis_coordinates(a)[-1]) for a in range(dim)]
+    assert _effective(nu, omega, witness) <= 0.0  # the centre value
+
+
+@settings(max_examples=50)
+@given(_AXES, _NU, st.floats(1.01, 3.0), st.integers(0, 2**32 - 1))
+def test_sampled_witness_does_not_confine(dim_axis, nu, excess, seed):
+    dim, axis = dim_axis
+    grid = _GRIDS[dim]
+    omega = np.zeros(3)
+    omega[2 if axis is None else axis] = 2 * max(nu) * excess
+    if axis is None:
+        omega[0] = 0.5 * omega[2]
+    V = HarmonicTrap(nu[:dim]).evaluate(grid)
+    V += np.random.default_rng(seed).uniform(0.0, 0.1, grid.shape)
+    rotation = RotationSpec(omega)
+    result = check_stability(SampledTrap(V), rotation, grid)
+    assume(not result.stable)
+    index = tuple(int(np.flatnonzero(grid.axis_coordinates(a) == c)[0])
+                  for a, c in enumerate(result.witness))
+    eff = V - centrifugal_term(rotation, grid)
+    assert eff[index] <= eff[tuple(n // 2 for n in grid.points)] + 1e-9
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+def test_modelspec_rejects_wrong_shape_sampled_trap(omega):
+    with pytest.raises(ValueError, match="shape does not match"):
+        ModelSpec(GRID2, SampledTrap(np.zeros((32, 32))), RotationSpec(omega), 0.0)
 
 
 def test_modelspec_rejects_unstable():
