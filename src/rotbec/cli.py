@@ -115,13 +115,23 @@ def _kind(table):
     return read_kind
 
 
+def _sampled_trap(grid, path):
+    """A SampledTrap from a whitespace table with one row per line along the
+    grid's last axis, in C order: shape (prod(points[:-1]), points[-1])."""
+    table = np.loadtxt(path, ndmin=2)
+    layout = (math.prod(grid.points[:-1]), grid.points[-1])
+    if table.shape != layout:
+        raise ValueError(f"{path} holds a {table.shape[0]}x{table.shape[1]} table; "
+                         f"the grid needs {layout[0]}x{layout[1]}")
+    return SampledTrap(table.reshape(grid.shape))
+
+
 # kind -> (constructor, {argument key: reader}); a trap's constructor takes the grid first
 _TRAPS = {
     "harmonic": (lambda grid, nu: HarmonicTrap(nu), {"nu": _one_or_list(_real)}),
     "quartic": (lambda grid, nu, lam: QuarticTrap(nu, lam),
                 {"nu": _one_or_list(_real), "lambda": _real}),
-    "sampled": (lambda grid, path: SampledTrap(np.loadtxt(path).reshape(grid.shape)),
-                {"values_file": _string}),
+    "sampled": (_sampled_trap, {"values_file": _string}),
 }
 _POTENTIALS = {
     "hard_sphere": (HardSphere, {"radius": _real}),

@@ -285,21 +285,23 @@ class _Flow:
     def descend_all(self, starts, tol, max_iter):
         """``descend`` on every (kind, array) start: (arrays, Restart records).
 
-        Both come back in start order.  Single fields on grids below
-        THREADED_SIZE points run side by side on the thread budget, with
-        numpy's OpenBLAS held at one thread so no bit depends on the thread
-        count; stacks and larger grids run one after another with default
-        threads.  Raises NoConvergence when no start converges.
+        Both come back in start order.  numpy's OpenBLAS is held at one
+        thread throughout, so no bit depends on the thread count and large
+        transforms get the cores.  Single fields on grids below
+        THREADED_SIZE points run side by side on the thread budget; stacks
+        and larger grids run one after another.  Raises NoConvergence when
+        no start converges.
         """
         def descend(start):
             return self.descend(start[1], tol, max_iter)
 
-        if starts[0][1].ndim > self.dim or math.prod(self.action.grid.shape) >= THREADED_SIZE:
-            runs = [descend(start) for start in starts]
-        else:
-            threads = max(1, min(thread_budget(), len(starts)))
-            with blas_threads("numpy", 1), ThreadPoolExecutor(threads) as pool:
-                runs = list(pool.map(descend, starts))
+        with blas_threads("numpy", 1):
+            if starts[0][1].ndim > self.dim or math.prod(self.action.grid.shape) >= THREADED_SIZE:
+                runs = [descend(start) for start in starts]
+            else:
+                threads = max(1, min(thread_budget(), len(starts)))
+                with ThreadPoolExecutor(threads) as pool:
+                    runs = list(pool.map(descend, starts))
         records = tuple(Restart(kind, iters, ok, res)
                         for (kind, _), (_, res, iters, ok) in zip(starts, runs))
         if not any(r.ok for r in records):

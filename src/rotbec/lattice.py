@@ -25,8 +25,9 @@ from scipy import fft as _fft
 # Thread policy.  A transform with fewer than THREADED_SIZE elements runs on
 # one thread (at 96^2 a second scipy.fft thread gains nothing); the cores
 # go instead to whole solver restarts running side by side (gp.py).  Larger
-# transforms get thread_budget() threads.  scipy.fft gives the same bits for
-# any thread count.
+# transforms get thread_budget() threads, which every descent leaves free by
+# holding numpy's OpenBLAS at one thread.  scipy.fft gives the same bits
+# for any thread count.
 THREADED_SIZE = 1 << 17
 _THREAD_BUDGET = None  # threads this process may keep busy; None = usable CPUs
 
@@ -37,8 +38,13 @@ def fftn(values, dim=None):
 
 
 def ifftn(values, dim=None):
-    """Inverse of ``fftn`` over the same trailing axes."""
-    return _fft.ifftn(values, axes=_stack_axes(values, dim), workers=_workers(values))
+    """Inverse of ``fftn`` over the same trailing axes, in place.
+
+    ``values`` is scratch the caller gives up: a complex array comes back
+    transformed in its own memory.
+    """
+    return _fft.ifftn(values, axes=_stack_axes(values, dim), workers=_workers(values),
+                      overwrite_x=True)
 
 
 def _workers(values):

@@ -117,8 +117,9 @@ class SampledTrap:
 
     def unconfined(self, rotation, grid):
         """The shell test: the lowest point of V - |Omega ^ x|^2 / 4 on the
-        outermost grid shell, unless it lies more than 1e-9 above the centre
-        value.  Not rotating, a finite box confines any bounded sampled V.
+        outermost grid shell, unless it lies more than 1e-9 above the lowest
+        interior value.  Not rotating, a finite box confines any bounded
+        sampled V.
         """
         if rotation.is_zero:
             return None
@@ -126,7 +127,7 @@ class SampledTrap:
         interior = np.zeros(grid.shape, dtype=bool)
         interior[(slice(1, -1),) * grid.dim] = True
         worst = np.unravel_index(np.argmin(np.where(interior, np.inf, eff)), grid.shape)
-        if eff[worst] > eff[tuple(n // 2 for n in grid.points)] + 1e-9:
+        if eff[worst] > np.min(eff[interior]) + 1e-9:
             return None
         return tuple(float(grid.axis_coordinates(a)[i]) for a, i in enumerate(worst))
 

@@ -188,6 +188,36 @@ def test_sampled_trap_runs(tmp_path):
     assert abs(payload["energy"] - 2.0) < 1e-6
 
 
+def test_sampled_trap_file_must_match_grid_layout(tmp_path, capsys):
+    # 1024 values, but 16 rows of 64 where the 32^2 grid needs 32 rows of 32
+    values = tmp_path / "trap.txt"
+    np.savetxt(values, np.ones((16, 64)))
+    path = tmp_path / "cfg.json"
+    write_config(path, model={"trap": {"kind": "sampled", "values_file": str(values)}})
+    assert main(["gp-min", "--config", str(path)]) == 2
+    assert "16x64" in capsys.readouterr().err
+
+
+def test_sampled_trap_runs_in_3d(tmp_path):
+    # one row per line along the last axis: 8*8 rows of 8 values
+    x = (np.arange(8) + 0.5) * 1.5 - 6.0
+    r2 = x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2
+    values = tmp_path / "trap.txt"
+    np.savetxt(values, r2.reshape(64, 8), fmt="%.17g")
+    path = tmp_path / "cfg.json"
+    write_config(path, model={"dim": 3, "half_width": 6.0, "points": 8,
+                              "trap": {"kind": "sampled", "values_file": str(values)}})
+    assert main(["gp-min", "--config", str(path)]) == 0
+    payload = json.loads((tmp_path / "out" / "gp_result.json").read_text())
+    harmonic = tmp_path / "harmonic.json"
+    write_config(harmonic, model={"dim": 3, "half_width": 6.0, "points": 8,
+                                  "trap": {"kind": "harmonic", "nu": 1.0}},
+                 outputs={"directory": str(tmp_path / "harmonic")})
+    assert main(["gp-min", "--config", str(harmonic)]) == 0
+    want = json.loads((tmp_path / "harmonic" / "gp_result.json").read_text())
+    assert payload["energy"] == want["energy"]
+
+
 def test_config_hash_ignores_outputs(tmp_path):
     path = tmp_path / "cfg.json"
     write_config(path)

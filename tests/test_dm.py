@@ -12,7 +12,7 @@ from rotbec.dm import (
 )
 from rotbec.errors import InvalidState, NoConvergence
 from rotbec.gp import _Flow, gp_energy, minimize_gp, vortex_seed
-from rotbec.lattice import Field, Grid, inner, normalized
+from rotbec.lattice import Field, Grid, blas_threads, inner, normalized
 from rotbec.model import HarmonicTrap, ModelSpec, RotationSpec, lowest_eigenpairs
 from rotbec.diagnostics import density_l1_distance
 from conftest import logged_descend, noise_field
@@ -186,3 +186,19 @@ def test_dm_explicit_starts_checked_before_descent(monkeypatch):
     with pytest.raises(ValueError, match="empty"):
         minimize_dm(spec, 2, starts=[])
     assert log == []
+
+
+def test_dm_solve_does_not_depend_on_numpy_blas_threads():
+    # a 2x72^2 stack is above the 10^4 elements where OpenBLAS threads
+    # numpy's vdot and norm, which changes their bits
+    spec = harmonic_spec(2.0, grid=Grid((6.0, 6.0), (72, 72)))
+    results = []
+    for n in (1, 2):
+        with blas_threads("numpy", n):
+            results.append(minimize_dm(spec, 2, tol=1e-5, restarts=1, seed=5))
+    one, two = results
+    assert one.energy == two.energy
+    assert np.array_equal(one.state.weights, two.state.weights)
+    assert one.restarts == two.restarts
+    for a, b in zip(one.state.orbitals, two.state.orbitals):
+        assert np.array_equal(a.values, b.values)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from rotbec.dm import minimize_dm
 from rotbec.errors import NoConvergence, NotNormalized, Unstable
 from rotbec.gp import (
     _Flow,
@@ -16,7 +17,7 @@ from rotbec.gp import (
     minimize_gp_family,
     vortex_seed,
 )
-from rotbec.lattice import Field, Grid, norm, normalized
+from rotbec.lattice import THREADED_SIZE, Field, Grid, norm, normalized
 from rotbec.model import HarmonicTrap, ModelSpec, RotationSpec, SampledTrap, apply_h0
 from rotbec.diagnostics import density_l1_distance
 from conftest import logged_descend, noise_field
@@ -343,8 +344,12 @@ def test_concurrent_restarts_change_no_bit(monkeypatch, points):
         assert np.array_equal(a.phi.values, b.phi.values)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_restarts_restore_blas_threads(monkeypatch, blas_counts, cpus):
+@pytest.mark.parametrize("case, cpus", [
+    ("gp", 1), ("gp", 2),   # single fields side by side on a small grid
+    ("gp-large", 2),        # single fields one after another, THREADED_SIZE points
+    ("dm", 2),              # (2,) + grid stacks one after another
+], ids=["1", "2", "gp-large", "dm"])
+def test_restarts_restore_blas_threads(monkeypatch, blas_counts, case, cpus):
     # numpy's copy is capped inside every descend, scipy's is left alone
     before = blas_counts()
     inside = []
@@ -356,9 +361,15 @@ def test_restarts_restore_blas_threads(monkeypatch, blas_counts, cpus):
         return psi0, 0.0, 1, True
 
     monkeypatch.setattr(_Flow, "descend", descend)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    large = Grid((6.0, 6.0), (512, 256))
+    assert math.prod(large.shape) == THREADED_SIZE
+    solve = {"gp": lambda: minimize_gp_family(harmonic_spec(), restarts=2),
+             "gp-large": lambda: minimize_gp_family(harmonic_spec(grid=large), restarts=2),
+             "dm": lambda: minimize_dm(harmonic_spec(), 2, restarts=2)}[case]
     with pytest.raises(RuntimeError, match="second start"):
-        _family_with_cpus(monkeypatch, cpus, harmonic_spec(), restarts=2)
-    assert inside and all(c == {**before, "numpy": 1} for c in inside)
+        solve()
+    assert len(inside) >= 2 and all(c == {**before, "numpy": 1} for c in inside)
     assert blas_counts() == before
 
 

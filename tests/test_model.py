@@ -130,7 +130,21 @@ def test_sampled_witness_does_not_confine(dim_axis, nu, excess, seed):
     index = tuple(int(np.flatnonzero(grid.axis_coordinates(a) == c)[0])
                   for a, c in enumerate(result.witness))
     eff = V - centrifugal_term(rotation, grid)
-    assert eff[index] <= eff[tuple(n // 2 for n in grid.points)] + 1e-9
+    assert eff[index] <= np.min(eff[(slice(1, -1),) * dim]) + 1e-9
+
+
+def test_sampled_trap_compares_shell_with_interior_minimum():
+    # the centre cell (dx/2, dx/2, dx/2) lies above the minimum of this
+    # weakly confining trap, so a centre reference reads it as unconfined
+    grid = Grid((3.0,) * 3, (8,) * 3)
+    trap = HarmonicTrap((1.19, 1.0, 0.58))
+    rotation = RotationSpec((-0.04, -0.92, -1.18))
+    assert check_stability(trap, rotation, grid).stable
+    assert check_stability(SampledTrap(trap.evaluate(grid)), rotation, grid).stable
+    fast = RotationSpec((0.0, 0.0, 3.0))
+    result = check_stability(SampledTrap(trap.evaluate(grid)), fast, grid)
+    assert not result.stable
+    assert result.witness is not None and not check_stability(trap, fast, grid).stable
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.5])
