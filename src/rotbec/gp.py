@@ -3,7 +3,9 @@
 The energy of a unit-norm field is  <phi|H0|phi> + 4 pi g int |phi|^4,
 minimized over the unit sphere of L2 by a normalized gradient flow whose
 steps come from trust-region Newton subproblems (Steihaug-CG with a
-kinetic preconditioner); accepted iterates never increase the energy
+kinetic preconditioner, run on the Fourier coefficients of the field, where
+the preconditioner is diagonal and inner products are Parseval sums);
+accepted iterates never increase the energy
 while energy differences are resolvable in double precision.  Restarts
 start from complex Gaussian noise under a Gaussian envelope plus
 deterministic vortex-seeded profiles (x+iy)^q exp(-|x|^2/2), q = 0..3,
@@ -18,9 +20,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import NoConvergence, NotNormalized
-from .lattice import THREADED_SIZE, Field, blas_threads, thread_budget
+from .lattice import THREADED_SIZE, Field, blas_threads, fftn, ifftn, thread_budget
 
 _NORM_TOL = 1e-8
+_CG_STEPS = 150  # Steihaug-CG steps per trust-region subproblem
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,7 @@ class _Flow:
         self.action = spec.h0
         self.dim = spec.grid.dim
         self.dV = spec.grid.cell_volume
+        self.weight = self.dV / math.prod(spec.grid.shape)  # Parseval: dV / N
         self.coeff = 8.0 * math.pi * spec.g
 
     def _rowsum(self, a):
@@ -150,83 +154,107 @@ class _Flow:
         resnorm = float(np.linalg.norm(res)) * math.sqrt(self.dV)
         return _State(psi, e_h0 + e_int, e_h0, mu, dens, res, resnorm)
 
-    def precondition(self, res, mu):
-        return self.action.precondition(res, max(1.0, abs(mu)))
+    def _dot(self, a, b):
+        """Re<a|b> of the arrays whose spectra are a and b (Parseval)."""
+        return float(np.vdot(a, b).real) * self.weight
 
-    def hessian_apply(self, st, d):
-        """Second-variation operator of the energy at st (tangent-projected).
+    def _project(self, psi_hat, v):
+        """Remove, in place, the component of the spectrum v along the unit-norm
+        state whose spectrum is psi_hat: the tangent projection."""
+        v -= psi_hat * (np.vdot(psi_hat, v) * self.weight)
+        return v
+
+    def hessian(self, st, psi_hat, spectrum):
+        """Tangent-projected second variation of the energy at st, on a spectrum.
 
         Real-linear: it couples d and conj(d) through the interaction, so
-        all Krylov loops below run in the real inner product Re<.,.>.
+        the Krylov loop below runs in the real inner product Re<.,.>.  Two
+        transforms: the inverse in ``_real_space_terms`` and one forward;
+        (k^2 - mu) and the projection act on the spectrum.
         """
-        out = self.action.apply(d) - st.mu * d
+        out = fftn(self._real_space_terms(st, spectrum), self.dim)
+        out += (self.action.k2 - st.mu) * spectrum
+        return self._project(psi_hat, out)
+
+    def _real_space_terms(self, st, spectrum):
+        """V d - Omega.L d plus the interaction terms of the Hessian, for the d
+        of ``spectrum``, from one batched inverse transform.  (d and its
+        derivatives are freed on return, before the forward transform.)"""
+        d, derivatives = self.action.inverse(spectrum)
+        local = self.action.real_part(d, derivatives)
         if self.coeff:
-            out = out + self.coeff * (st.dens * d + self._density_rate(st.psi, d) * st.psi)
-        return self._tangent(st, out)
-
-    def _tangent(self, st, v):
-        return v - st.psi * (np.vdot(st.psi, v) * self.dV)
-
-    def _dot(self, a, b):
-        return float(np.vdot(a, b).real) * self.dV
+            local += self.coeff * (st.dens * d + self._density_rate(st.psi, d) * st.psi)
+        return local
 
     def _subproblem(self, st, radius, cap, rel_tol):
-        """Steihaug-CG on the trust-region model around st.
+        """Steihaug-CG on the trust-region model around st, run on spectra.
 
         Minimizes m(x) = 2<res,x> + <x,(H+sigma)x> over |x| <= radius; the
         small shift sigma ~ |res| regularizes the exact zero mode of
         axisymmetric problems (rigid rotation of a vortex configuration).
-        Returns (step, predicted model decrease, hit_boundary, applies).
+        r, z, d, x and jd are Fourier coefficients: the kinetic
+        preconditioner (max(1, |mu|) - Delta)^-1 is one multiply, inner
+        products are Parseval sums, and each Hessian application costs two
+        transforms.  At most ``cap`` applications, the boundary recompute
+        included.  Returns (real-space step, predicted model decrease,
+        hit_boundary, applies).
         """
-        g = st.res
+        psi_hat = fftn(st.psi, self.dim)
+        recip = 1.0 / (max(1.0, abs(st.mu)) + self.action.k2)
         sigma = st.resnorm
-        x = np.zeros_like(g)
+
+        def curvature(v):
+            out = self.hessian(st, psi_hat, v)
+            out += sigma * v
+            return out
+
+        r = fftn(st.res, self.dim)
+        x = np.zeros_like(r)
         xn2 = 0.0
-        r = g.copy()
-        z = self._tangent(st, self.precondition(r, st.mu))
+        z = self._project(psi_hat, recip * r)
         d = -z
         rz = self._dot(r, z)
-        gnorm2 = self._dot(g, g)
+        gnorm2 = st.resnorm * st.resnorm
         inner = 0
-        hit = False
-
-        def boundary_point(x, d, xn2):
-            dd = self._dot(d, d)
-            xd = self._dot(x, d)
-            tau = (-xd + math.sqrt(max(xd * xd + dd * (radius * radius - xn2), 0.0))) / dd
-            return x + tau * d
-
-        for _ in range(cap):
-            jd = self.hessian_apply(st, d) + sigma * d
+        boundary = False
+        for _ in range(min(_CG_STEPS, cap)):
+            jd = curvature(d)
             inner += 1
             djd = self._dot(d, jd)
             if djd <= 0.0:
-                x = boundary_point(x, d, xn2)
-                hit = True
+                boundary = True
                 break
             alpha = rz / djd
             xn = x + alpha * d
             xn_norm2 = self._dot(xn, xn)
             if xn_norm2 >= radius * radius:
-                x = boundary_point(x, d, xn2)
-                hit = True
+                boundary = True
                 break
             x, xn2 = xn, xn_norm2
-            r = r + alpha * jd
+            r += alpha * jd
             if self._dot(r, r) <= rel_tol * rel_tol * gnorm2:
                 break
-            z = self._tangent(st, self.precondition(r, st.mu))
+            z = self._project(psi_hat, recip * r)
             rz_new = self._dot(r, z)
-            d = -z + (rz_new / rz) * d
+            d *= rz_new / rz
+            d -= z
             rz = rz_new
+        # the boundary point needs one more application (r is stale there);
+        # without room for it the step stays at the last interior iterate
+        hit = boundary and inner < cap
         if hit:
-            # r is stale after a boundary step; recompute the model value
-            jx = self.hessian_apply(st, x) + sigma * x
+            dd = self._dot(d, d)
+            xd = self._dot(x, d)
+            tau = (-xd + math.sqrt(max(xd * xd + dd * (radius * radius - xn2), 0.0))) / dd
+            x = x + tau * d
+            jx = curvature(x)
             inner += 1
-            predicted = 2.0 * self._dot(g, x) + self._dot(x, jx)
+            model = self._dot(x, jx)
         else:
-            predicted = self._dot(g, x) + self._dot(x, r)
-        return x, predicted, hit, inner
+            model = self._dot(x, r)
+        step = ifftn(x, self.dim)
+        gx = float(np.vdot(st.res, step).real) * self.dV
+        return step, (2.0 if hit else 1.0) * gx + model, hit, inner
 
     def descend(self, psi0, tol, max_iter):
         """Minimize over the unit sphere; returns (psi, res, iters, ok).
@@ -238,17 +266,22 @@ class _Flow:
         valleys quickly and still guarantees nonincreasing energies.  Once
         predicted decreases drop below the double-precision rounding floor,
         steps are judged by residual decrease instead, which is the only
-        signal left at that scale.  ``iters`` counts operator applications.
+        signal left at that scale.  The CG runs on spectra (``_subproblem``);
+        each step returns to real space once.  ``iters`` counts operator
+        applications (Hessian applications and evaluations) and never
+        exceeds ``max_iter``.
         """
         st = self.evaluate(self.normalize(psi0.astype(complex)))
         iters = 1
         best = st
         radius = 0.5
         fails = 0
-        while st.resnorm > tol and iters < max_iter:
+        # each outer step needs one application for its subproblem and one
+        # to evaluate the candidate; the subproblem gets what is left
+        while st.resnorm > tol and iters < max_iter - 1:
             rel_tol = min(0.1, math.sqrt(st.resnorm))
             step, predicted, hit, inner = self._subproblem(
-                st, radius, cap=min(150, max(10, max_iter - iters)), rel_tol=rel_tol
+                st, radius, cap=max_iter - iters - 1, rel_tol=rel_tol
             )
             iters += inner
             if predicted >= 0.0:

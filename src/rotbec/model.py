@@ -243,24 +243,57 @@ class H0Action:
         self.V = spec.V
         self.k2 = grid.k2_mesh
         self.ik = grid.ik_meshes
-        # Omega.L = -i (Omega ^ x).grad; store the real coefficient meshes
-        self.rot_coeffs = None
+        # Omega.L = -i (Omega ^ x).grad: (axis, real coefficient mesh) of
+        # every derivative with a nonzero coefficient
+        self.rotating = ()
         if not spec.rotation.is_zero:
-            self.rot_coeffs = [c if np.any(c) else None
-                               for c in _omega_cross_x(spec.rotation, grid)[: grid.dim]]
+            self.rotating = tuple((axis, c) for axis, c in
+                                  enumerate(_omega_cross_x(spec.rotation, grid)[: grid.dim])
+                                  if np.any(c))
 
     def apply(self, values):
         """H0 on a field or on a stack of fields shaped (m,) + grid.shape."""
         dim = self.grid.dim
         spectrum = fftn(values, dim)
-        out = ifftn(self.k2 * spectrum, dim)  # -Delta
-        out += self.V * values
-        if self.rot_coeffs is not None:
-            for axis, coeff in enumerate(self.rot_coeffs):
-                if coeff is None:
-                    continue
-                dphi = ifftn(self.ik[axis] * spectrum, dim)
-                out += 1j * coeff * dphi  # -(-i c d/dx)
+        if self.rotating:
+            out, derivatives = self.inverse(spectrum, self.k2)  # -Delta and d/dx_a
+        else:
+            spectrum *= self.k2
+            out, derivatives = ifftn(spectrum, dim), ()
+        return self.real_part(values, derivatives, out)
+
+    def inverse(self, spectrum, scale=None):
+        """One batched inverse transform of a field's (or stack's) ``spectrum``.
+
+        Returns (the field, or -Delta of it when ``scale`` is k2; its
+        derivatives along the rotating axes, for ``real_part``).  The
+        spectrum is left as it is.
+        """
+        if not self.rotating:
+            return ifftn(spectrum.copy() if scale is None else scale * spectrum,
+                         self.grid.dim), ()
+        rows = np.empty((1 + len(self.rotating),) + spectrum.shape, dtype=complex)
+        if scale is None:
+            rows[0] = spectrum
+        else:
+            np.multiply(scale, spectrum, out=rows[0])
+        for row, (axis, _) in zip(rows[1:], self.rotating):
+            np.multiply(self.ik[axis], spectrum, out=row)
+        rows = ifftn(rows, self.grid.dim)
+        return rows[0], rows[1:]
+
+    def real_part(self, values, derivatives, out=None):
+        """V x - Omega.L x, the real-space part of H0 on x = ``values``.
+
+        ``derivatives`` are those of x along the rotating axes (see
+        ``inverse``).  The terms are added to ``out`` when it is given.
+        """
+        if out is None:
+            out = self.V * values
+        else:
+            out += self.V * values
+        for (_, coeff), dphi in zip(self.rotating, derivatives):
+            out += 1j * coeff * dphi  # -(-i c d/dx)
         return out
 
     # the batched name stays for stack callers (LOBPCG, the DM weight
@@ -285,11 +318,9 @@ class H0Action:
         dens = values.real**2 + values.imag**2
         potential = float(np.sum(self.V * dens)) * grid.cell_volume
         rotational = 0.0
-        if self.rot_coeffs is not None:
+        if self.rotating:
             acc = imag = 0.0
-            for axis, coeff in enumerate(self.rot_coeffs):
-                if coeff is None:
-                    continue
+            for axis, coeff in self.rotating:
                 # -<phi| -i c d/dx |phi> = -Im <phi| c d/dx |phi>
                 prod = np.conj(values) * ifftn(self.ik[axis] * spectrum)
                 acc += float(np.sum(coeff * prod.imag))

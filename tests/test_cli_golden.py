@@ -71,27 +71,27 @@ PINS = {
     },
     "dm-min": {
         "dm_orbital_0.csv":
-            "5f9444144aab235c1a0c4b5bac24c4ee9c6964bc3cebb55d3d07616586fa3620",
+            "fefa80a8bff04d50f889207e7c2f26cf0863d5caeb9699c8f77d3dbbf1e0d98f",
         "dm_orbital_0.raw":
-            "9748b74ddb608cecddbcb3eccce56a8f95fd9e9fc9da0d5718dda8affd75fac3",
+            "43cc001d7985c484d2e3249bc23751b5d5d2b016ac3dfba79af937bd2af3fd18",
         "dm_orbital_0.raw.hdr":
             "54124c8840abe1b749ef4cde2a30e06af8b2e9f009d8e81c3bb9fcd4da035146",
         "dm_orbital_0_density.pgm":
             "204f78586e6f22a5f1acea912960100d162af34e5ef26b2dcda6157e01b38399",
         "dm_orbital_0_phase.pgm":
-            "02a51b45e58294f9ac06a7e41826b9769af779b895d56c943f27df5fd70eeee6",
+            "8f1d0a4892cb95d59f1f82a89d1ca04dfe3b8c7dc30315753412c0051a181ec6",
         "dm_orbital_1.csv":
-            "cbcacf95d9d8ac4d3b1dc075eb611ea0b26f603c62814648b5897eb4788020ea",
+            "67dac4bcee17299b673e1aa23636dab7b6a020564083c2c7f1de8479451ae050",
         "dm_orbital_1.raw":
-            "03e9fe473efc8f1e9d228eb29587661f754966b339bb0cbed13ff1d37ca1ae9d",
+            "0baa27ece82929dd645808861d1c533fbe468522f6e2a8f78e93af15f2c80cca",
         "dm_orbital_1.raw.hdr":
             "54124c8840abe1b749ef4cde2a30e06af8b2e9f009d8e81c3bb9fcd4da035146",
         "dm_orbital_1_density.pgm":
             "70400edd3bf992cdf881839e59f997b2943cfb00c319ed03ee147858d500769b",
         "dm_orbital_1_phase.pgm":
-            "ec85ec44d8978e0ba37d13c3a2c4878ee5cf7a6f2e6031b77288b8a8737de609",
+            "4a7f6c68fe5254f76cba8c12fe4e144126eddc8c8f8d8a60687c6af039dda8ce",
         "dm_result.json":
-            "06e1f40747d80a9331b407a0a5a132da52566750ac220fa74dc0fb5337df20c0",
+            "b83da0410ac601603fa055e33e49023a07351a3e06d00abbb54744d8c8df01bb",
     },
     "fock": {
         "fock.csv":
@@ -99,51 +99,51 @@ PINS = {
     },
     "gp-min-2d-vortex": {
         "gp_phi.csv":
-            "459caf072ae4d09a229e710f707b5486ac37bff9ef66aeb41b0f6cc45196a905",
+            "e06d6670789f39d55dfedcf5b5c3ce503922efdde15699ffee9e36e6d24d521e",
         "gp_phi.raw":
-            "e52f9bd1fb289a868db2a4e0df453839a701a23bd1c0bf62dae64fb2ac845e0d",
+            "dde2a6d3d73a6515662a77aa997fc61f4b7bcd98846560a3d3f79e7a014e46c0",
         "gp_phi.raw.hdr":
             "97e77f5d20bedc4c8dd50a636e7e20241e000a9583c9f0703789c0f34bfb16d5",
         "gp_phi_density.pgm":
             "cc78a463b80347d8168f6d21eb7d02c8f88ffea23ad40077b8e01598be86a97a",
         "gp_phi_phase.pgm":
-            "bd756a0bfb27a632ceafbf4b160039b053b54eb63dc546052dcae79648e6b486",
+            "b01f411df69d5c687e9696ca8634828689f733f8782c32c042e3e552a3e12e88",
         "gp_result.json":
-            "88d93d442decd08fe274fefa288724b5a120fdf6aea2b512bf850ab41858e53d",
+            "b5e753cbc400b3d74a31ba18e175bf47934eae21c926729145ee7121e05bb2c9",
     },
     "gp-min-2d-sampled": {
         "gp_phi.csv":
-            "047bff6c5d907eb5054fe35648741e217d9b2feeee7985b1e6e9bb71a5f7179f",
+            "7d548a6cf3f2305211508cdaac44302925d2d1e71a6252accd930c21c7fcff9c",
         "gp_phi.raw":
-            "db657c8dd7d64ef83dc9d472747521b8c97791eae08b820d3655585beb545bd3",
+            "b6198baf1229222b4fc320610db5b4f669edc9fa651f0e9d53153d2ef9c32b2f",
         "gp_phi.raw.hdr":
             "05f457c91e085e26354e8666fe3e987b238293e4f1b6c876dd40b6f85228fbe9",
         "gp_phi_density.pgm":
             "d7cf9816cc49d351b179d2945e88506c8b35f7fae96481cbdbb43b4392bf64a5",
         "gp_phi_phase.pgm":
-            "56d71a25bff3daebf2fcb7f8fd059b7b6c71a809258c60999df38c2617b70341",
+            "c7369ab8d09d67cd37e5f77269beecdffaf81e62420ca39f5fe0704b50263985",
         "gp_result.json":
-            "7bf7f92b094b372ee91af97721c7396900de0eba94738298acb436702576c2a5",
+            "ede5f292effe9592b5f0eac026d77299a9b68ccf984ecfc438dfc5b029fe09d0",
     },
     "gp-min-3d-quartic": {
         "gp_phi.csv":
-            "967dc55c03e336c8a3f86e3fc54735246e23c8681dd2e07d52aec7e8af7221c7",
+            "5cff322881d98b9f423b88a6d1ebfc771ecf05e6e83b1a5353037b46188a4eaa",
         "gp_phi.raw":
-            "84f4a92f1782f3482e6201763b567041deb28acb08d83a3368afa8e5cf3c0fc6",
+            "7810e384824408f158543ac7d7f364713ae2ccc108b44dda83e5099c57b20b62",
         "gp_phi.raw.hdr":
             "139af4e3a4d636fe8197ad433142ece55dbfdf0d8c4e1738316daea276d9a328",
         "gp_result.json":
-            "d05b60bf458c02b5bafd2af8bf118543f3c6d429ede245f337a957bb009aea68",
+            "78c4a74471f04c0d5287e513f56e7d80fb5a75dbb065b23fd410de01467c6924",
     },
     "gp-min-3d-tilted": {
         "gp_phi.csv":
-            "e5dd11450bb93e2e6c85add52fda5f3bb4dade9d60dbacb5ae78224f5459d252",
+            "589b92aaec49856fe89598fe56548e5a6535ca32c9968740edd054cc04ba0823",
         "gp_phi.raw":
-            "f733ec24972dc661ceb5fff00af2e2d83a9c2ec60caeda790ebeb65f08ad5fcf",
+            "87518fc77ab326811ade0bc8a82326cf75c11de60f2e200324f0bfdf35988700",
         "gp_phi.raw.hdr":
             "a2145a0a5acf4807bfc52200a2a096d77c77693fe374ccdc4ea4c8a4a64a34d5",
         "gp_result.json":
-            "a379a67c583e59e008434d72f1442d258635f86766502f6f1ab3d606e3176e84",
+            "6560db01be5aee9e423dd4321edea37144fbeb8f2bb63612dfdfabb3f9835427",
     },
     "scatter": {
         "born.csv":
@@ -153,11 +153,11 @@ PINS = {
     },
     "sweep-g": {
         "sweep.csv":
-            "650fe10b4338de319cfdef2a4cde99bebbc20fb27f71717beeb693560b05f1d5",
+            "4c47827eb106c5a813392fa03e95f447d9617c02e679dbbf814554621072c91d",
     },
     "sweep-omega": {
         "sweep.csv":
-            "752bd962c3d61def4e4ab12b0f84f2eaeb97b322ae5a9565620116470683b743",
+            "5e0d1adb25e484ff5bf25d5671344a2e707d0cfc4039e48063cddd86fb253281",
     },
 }
 

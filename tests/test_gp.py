@@ -1,10 +1,15 @@
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given
+from hypothesis import strategies as st
 
+import rotbec.lattice
 from rotbec.dm import minimize_dm
 from rotbec.errors import NoConvergence, NotNormalized, Unstable
 from rotbec.gp import (
@@ -17,7 +22,7 @@ from rotbec.gp import (
     minimize_gp_family,
     vortex_seed,
 )
-from rotbec.lattice import THREADED_SIZE, Field, Grid, norm, normalized
+from rotbec.lattice import THREADED_SIZE, Field, Grid, fftn, ifftn, norm, normalized
 from rotbec.model import HarmonicTrap, ModelSpec, RotationSpec, SampledTrap, apply_h0
 from rotbec.diagnostics import density_l1_distance
 from conftest import logged_descend, noise_field
@@ -418,3 +423,93 @@ def test_explicit_starts_checked_before_descent(monkeypatch):
     with pytest.raises(ValueError, match="empty"):
         minimize_gp_family(spec, starts=[])
     assert log == []
+
+
+@pytest.mark.parametrize("max_iter", [5, 15, 37, 100])
+def test_descent_applications_stay_within_max_iter(max_iter):
+    # tol 1e-12 is out of reach, so every descent runs to its budget
+    grid = Grid((7.0, 7.0), (32, 32))
+    spec = harmonic_spec(g=10.0, omega=0.6, grid=grid)
+    psi0 = noise_field(grid, np.random.default_rng(8))
+    # the count a Restart record keeps as ``applications``
+    _, _, applications, ok = _Flow(spec).descend(psi0, 1e-12, max_iter)
+    assert not ok
+    assert max_iter - 2 <= applications <= max_iter
+
+
+def real_space_hessian(flow, state, d):
+    """The second variation in real space: the reference for ``_Flow.hessian``."""
+    out = flow.action.apply(d) - state.mu * d
+    if flow.coeff:
+        rate = 2.0 * flow._rowsum((np.conj(state.psi) * d).real)
+        out = out + flow.coeff * (state.dens * d + rate * state.psi)
+    return out - state.psi * (np.vdot(state.psi, out) * flow.dV)
+
+
+@pytest.mark.parametrize("grid, omega, rows", [
+    (Grid((7.0, 7.0), (32, 32)), 0.6, 0),
+    (Grid((7.0, 7.0), (32, 32)), 0.6, 3),
+    (Grid((6.0,) * 3, (16,) * 3), (0.3, 0.0, 0.5), 0),  # tilted rotation
+    (Grid((7.0, 7.0), (32, 32)), 0.0, 0),
+], ids=["field", "stack", "tilted-3d", "not-rotating"])
+def test_spectral_hessian_matches_real_space_formula(grid, omega, rows):
+    flow = _Flow(harmonic_spec(g=10.0, omega=omega, grid=grid))
+    rng = np.random.default_rng(12)
+
+    def draw():
+        if rows == 0:
+            return noise_field(grid, rng)
+        return np.stack([noise_field(grid, rng) for _ in range(rows)])
+
+    state = flow.evaluate(flow.normalize(draw()))
+    d = draw()
+    got = ifftn(flow.hessian(state, fftn(state.psi, grid.dim), fftn(d, grid.dim)), grid.dim)
+    want = real_space_hessian(flow, state, d)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.6])
+def test_each_hessian_application_makes_two_transforms(monkeypatch, omega):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    seen = []
+
+    class Counting(_Flow):
+        def _subproblem(self, state, radius, cap, rel_tol):
+            before = len(calls)
+            out = _Flow._subproblem(self, state, radius, cap, rel_tol)
+            seen.append((len(calls) - before, out[3], out[2]))
+            return out
+
+    grid = Grid((7.0, 7.0), (32, 32))
+    flow = Counting(harmonic_spec(g=10.0, omega=omega, grid=grid))
+    psi0 = noise_field(grid, np.random.default_rng(8))
+    monkeypatch.setattr(rotbec.lattice, "_fft", SimpleNamespace(
+        fftn=counted(scipy.fft.fftn), ifftn=counted(scipy.fft.ifftn)))
+    flow.descend(psi0, 1e-8, 400)
+    # fixed overhead per subproblem: the spectra of psi and of the
+    # residual, and the step's one return to real space
+    assert seen and all(transforms == 2 * applications + 3
+                        for transforms, applications, _ in seen)
+    assert any(hit for _, _, hit in seen)  # boundary recomputes are counted too
+
+
+@given(st.sampled_from([2, 3]), st.integers(4, 12), st.integers(4, 12), st.integers(4, 8),
+       st.floats(1.0, 10.0), st.sampled_from([0, 1, 3]), st.integers(0, 2**32 - 1))
+def test_spectral_dot_is_real_space_inner_product(dim, n0, n1, n2, half_width, rows, seed):
+    # Parseval: the CG's dot of two spectra equals Re<a|b> dV of the arrays
+    grid = Grid((half_width,) * dim, (2 * n0, 2 * n1, 2 * n2)[:dim])
+    flow = _Flow(harmonic_spec(grid=grid))
+    rng = np.random.default_rng(seed)
+    shape = grid.shape if rows == 0 else (rows,) + grid.shape
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    want = float(np.vdot(a, b).real) * grid.cell_volume
+    got = flow._dot(fftn(a, dim), fftn(b, dim))
+    bound = float(np.linalg.norm(a) * np.linalg.norm(b)) * grid.cell_volume
+    assert abs(got - want) <= 1e-12 * bound

@@ -235,3 +235,18 @@ def test_every_bundled_openblas_has_a_thread_setter(copy):
     get, _ = funcs
     with rotbec.lattice.blas_threads(copy, 1):
         assert get() == 1
+
+
+@pytest.mark.parametrize("shape, dim", [
+    ((96, 96), 2), ((4, 96, 96), 2), ((32, 32), 2), ((24, 24), 2),
+    ((16, 16, 16), 3), ((64, 64, 64), 3),
+])
+def test_batched_inverse_equals_per_row_calls_bitwise(shape, dim):
+    # H0Action batches -Delta and the rotating derivatives into one call;
+    # that must change no bit of any row
+    rng = np.random.default_rng(4)
+    batch = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
+    rows = [ifftn(row.copy(), dim) for row in batch]
+    out = ifftn(batch.copy(), dim)
+    for got, want in zip(out, rows):
+        assert np.array_equal(got, want)

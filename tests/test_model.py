@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import rotbec.model
 from rotbec.errors import Unstable
-from rotbec.lattice import Field, Grid, blas_threads, inner, norm, normalized
+from rotbec.lattice import Field, Grid, blas_threads, fftn, ifftn, inner, norm, normalized
 from rotbec.model import (
     H0Action,
     HarmonicTrap,
@@ -270,6 +270,30 @@ def test_h0_stack_apply_equals_row_apply(grid):
     assert np.array_equal(action.apply_block(stack), out)
 
 
+def per_axis_apply(action, values):
+    """H0 with one inverse transform per derivative: the reference for ``apply``."""
+    dim = action.grid.dim
+    spectrum = fftn(values, dim)
+    out = ifftn(action.k2 * spectrum, dim)
+    out += action.V * values
+    for axis, coeff in action.rotating:
+        out += 1j * coeff * ifftn(action.ik[axis] * spectrum, dim)
+    return out
+
+
+@pytest.mark.parametrize("grid, omega", [
+    (GRID2, 0.7), (GRID2, 0.0),
+    (Grid((5.0,) * 3, (16,) * 3), (0.3, 0.0, 0.5)),  # tilted: all three derivatives
+])
+@pytest.mark.parametrize("rows", [0, 3])
+def test_h0_apply_equals_per_axis_transforms_bitwise(grid, omega, rows):
+    rng = np.random.default_rng(11)
+    spec = ModelSpec(grid, HarmonicTrap((1.0,) * grid.dim), RotationSpec(omega), 0.0)
+    values = noise_field(grid, rng) if rows == 0 else np.stack(
+        [noise_field(grid, rng) for _ in range(rows)])
+    assert np.array_equal(spec.h0.apply(values), per_axis_apply(spec.h0, values))
+
+
 def test_every_transform_uses_the_lattice_thread_setting(monkeypatch):
     # a sentinel thread count reaches the large transforms only; every
     # transform below THREADED_SIZE elements runs on one thread
@@ -292,7 +316,8 @@ def test_every_transform_uses_the_lattice_thread_setting(monkeypatch):
     big = Grid((7.0,) * 3, (64,) * 3)
     big_spec = ModelSpec(big, HarmonicTrap((1.0,) * 3), RotationSpec((0.0, 0.0, 0.5)), 2.0)
     H0Action(big_spec).apply(noise_field(big, np.random.default_rng(9)))
-    assert len(seen) >= 3 and set(seen) == {(64**3, 3)}
+    # the forward transform, then -Delta and both rotating derivatives in one batch
+    assert seen == [(64**3, 3), (3 * 64**3, 3)]
     seen.clear()
     grid = Grid((7.0, 7.0), (32, 32))
     spec = ModelSpec(grid, HarmonicTrap((1.0, 1.0)), RotationSpec(0.5), 2.0)
@@ -300,7 +325,7 @@ def test_every_transform_uses_the_lattice_thread_setting(monkeypatch):
     action = H0Action(spec)
     action.apply(noise_field(grid, rng))
     action.apply(np.stack([noise_field(grid, rng) for _ in range(2)]))
-    assert {size for size, _ in seen} == {32 * 32, 2 * 32 * 32}
+    assert {size for size, _ in seen} == {32 * 32, 3 * 32 * 32, 2 * 32 * 32, 6 * 32 * 32}
     lowest_eigenpairs(spec, 2)
     minimize_dm(spec, 2, tol=1e-6, max_iter=3000, restarts=0, seed=1)
     assert len(seen) > 100
