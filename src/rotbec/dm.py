@@ -4,7 +4,7 @@ A rank-n state is a weighted orthonormal orbital family (lambda_i, phi_i)
 with the weights on the simplex; its energy is
 sum_i lambda_i <phi_i|H0|phi_i> + 4 pi g int rho^2 with
 rho = sum_i lambda_i |phi_i|^2.  Restricting to rank one recovers the GP
-functional.
+functional: ``gp.state_terms`` reports both, a GP field as the one-row stack.
 
 The minimizer works in the square-root parameterization
 gamma = sum_i |chi_i><chi_i| with one global constraint sum_i |chi_i|^2 = 1:
@@ -23,8 +23,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InvalidState, NoConvergence
-from .gp import _Flow, _given_starts, gaussian_envelope, vortex_seed
+from .gp import _Flow, _given_starts, gaussian_envelope, state_terms, vortex_seed
 from .lattice import Field
+from .model import on_grid
 
 _ORTHO_TOL = 1e-10
 _SIMPLEX_TOL = 1e-12
@@ -52,6 +53,10 @@ class DMState:
     def rank(self):
         return len(self.orbitals)
 
+    def rows(self):
+        """The orbitals' values as one (n,) + grid stack."""
+        return np.stack([phi.values for phi in self.orbitals])
+
     def validate(self):
         n = self.rank
         check_rank(n)
@@ -59,20 +64,16 @@ class DMState:
             raise InvalidState("one weight per orbital required")
         if np.any(self.weights < -_SIMPLEX_TOL) or abs(self.weights.sum() - 1.0) > _SIMPLEX_TOL:
             raise InvalidState("weights must lie on the probability simplex")
-        grid = self.orbitals[0].grid
-        dV = grid.cell_volume
-        for i in range(n):
-            for j in range(i, n):
-                ov = np.vdot(self.orbitals[i].values, self.orbitals[j].values) * dV
-                want = 1.0 if i == j else 0.0
-                if abs(ov - want) > _ORTHO_TOL:
-                    raise InvalidState(f"orbitals {i},{j} not orthonormal: <i|j>={ov!r}")
+        flat = self.rows().reshape(n, -1)
+        gram = (np.conj(flat) @ flat.T) * self.orbitals[0].grid.cell_volume  # <i|j>
+        bad = np.argwhere(np.abs(gram - np.eye(n)) > _ORTHO_TOL)
+        if len(bad):
+            i, j = bad[0]
+            raise InvalidState(f"orbitals {i},{j} not orthonormal: <i|j>={complex(gram[i, j])!r}")
 
     def density(self):
-        rho = np.zeros(self.orbitals[0].grid.shape)
-        for lam, phi in zip(self.weights, self.orbitals):
-            rho += lam * (phi.values.real**2 + phi.values.imag**2)
-        return rho
+        rows = self.rows()
+        return np.tensordot(self.weights, rows.real**2 + rows.imag**2, axes=1)
 
 
 @dataclass
@@ -95,25 +96,9 @@ class DMResult:
 def dm_energy(spec, state):
     """Energy of a rank-n density-matrix state (validates the state)."""
     state.validate()
-    block = np.stack([phi.values for phi in state.orbitals])
-    h, gmat = _orbital_terms(spec, block)
+    *parts, gmat = state_terms(spec, np.stack([on_grid(spec, phi) for phi in state.orbitals]))
     lam = state.weights
-    return float(lam @ h + lam @ gmat @ lam)
-
-
-def _orbital_terms(spec, block):
-    """Orbital energies <phi_i|H0|phi_i> and the interaction matrix.
-
-    The energy of weights lam on the orthonormal stack ``block`` is
-    lam.h + lam^T G lam with G_ij = 4 pi g int |phi_i|^2 |phi_j|^2.
-    """
-    n = block.shape[0]
-    dV = spec.grid.cell_volume
-    h0block = spec.h0.apply_block(block)
-    h = np.array([float(np.vdot(block[i], h0block[i]).real) * dV for i in range(n)])
-    dens = (block.real**2 + block.imag**2).reshape(n, -1)
-    gmat = (4.0 * math.pi * spec.g * dV) * (dens @ dens.T)
-    return h, gmat
+    return float(lam @ sum(parts) + lam @ gmat @ lam)
 
 
 def project_simplex(v):
@@ -231,7 +216,8 @@ def minimize_dm(spec, n, tol=1e-7, max_iter=40000, restarts=2, seed=0,
             continue
         lam, block = _extract_state(spec, stack)
         # exact weight update with orbitals fixed; never increases energy
-        h, gmat = _orbital_terms(spec, block)
+        *parts, gmat = state_terms(spec, block)
+        h = sum(parts)  # <phi_i|H0|phi_i>
         energy_before = float(lam @ h + lam @ gmat @ lam)
         lam2 = minimize_weights(h, gmat, lam)
         energy = float(lam2 @ h + lam2 @ gmat @ lam2)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotNormalized
 from .lattice import THREADED_SIZE, Field, blas_threads, fftn, ifftn, thread_budget
+from .model import on_grid
 
 _NORM_TOL = 1e-8
 _CG_STEPS = 150  # Steihaug-CG steps per trust-region subproblem
@@ -66,32 +67,38 @@ class GPResult:
     def restarts_used(self):
         return len(self.restarts)
 
-    def density(self):
-        v = self.phi.values
-        return v.real**2 + v.imag**2
 
+def state_terms(spec, rows):
+    """(kinetic, potential, rotational, G) of an (n,) + grid stack of unit-norm rows.
 
-def _require_normalized(phi):
-    nrm = float(np.linalg.norm(phi.values)) * math.sqrt(phi.grid.cell_volume)
-    if abs(nrm - 1.0) > _NORM_TOL:
-        raise NotNormalized(f"|phi|_2 = {nrm!r}, expected 1")
+    The first three are <row_i|H0|row_i> by parts (``H0Action.energy_parts``)
+    and G_ij = 4 pi g int |row_i|^2 |row_j|^2.  Weights w on orthonormal rows
+    have the energy w.(kinetic + potential + rotational) + w^T G w; a GP
+    field is the one-row stack.
+    """
+    parts = spec.h0.energy_parts(rows)
+    dens = (rows.real**2 + rows.imag**2).reshape(len(rows), -1)
+    G = np.array([4.0 * math.pi * spec.g * np.sum(d * dens, axis=1) * spec.grid.cell_volume
+                  for d in dens])  # row by row: no (n, n) + grid temporary
+    return (*parts, G)
 
 
 def gp_energy(spec, phi):
-    """Term-by-term energy of a unit-norm field."""
-    _require_normalized(phi)
-    kinetic, potential, rotational = spec.h0.energy_parts(phi.values)
-    dens = phi.values.real**2 + phi.values.imag**2
-    interaction = 4.0 * math.pi * spec.g * float(np.sum(dens**2)) * spec.grid.cell_volume
-    return GPBreakdown(kinetic, potential, rotational, interaction)
+    """Term-by-term energy of a unit-norm field, from ``state_terms`` of its one row."""
+    nrm = float(np.linalg.norm(phi.values)) * math.sqrt(phi.grid.cell_volume)
+    if abs(nrm - 1.0) > _NORM_TOL:
+        raise NotNormalized(f"|phi|_2 = {nrm!r}, expected 1")
+    *parts, G = state_terms(spec, on_grid(spec, phi)[None])
+    return GPBreakdown(*(float(part[0]) for part in parts), float(G[0, 0]))
 
 
 def gp_gradient(spec, phi):
     """Unconstrained functional derivative H0 phi + 8 pi g |phi|^2 phi."""
-    out = spec.h0.apply(phi.values)
+    values = on_grid(spec, phi)
+    out = spec.h0.apply(values)
     if spec.g:
-        dens = phi.values.real**2 + phi.values.imag**2
-        out += (8.0 * math.pi * spec.g) * dens * phi.values
+        dens = values.real**2 + values.imag**2
+        out += (8.0 * math.pi * spec.g) * dens * values
     return Field(spec.grid, out)
 
 

@@ -296,8 +296,8 @@ class H0Action:
             out += 1j * coeff * dphi  # -(-i c d/dx)
         return out
 
-    # the batched name stays for stack callers (LOBPCG, the DM weight
-    # update), and so that bench/tracer.py can count block calls apart
+    # the batched name stays for LOBPCG, its one caller, and so that
+    # bench/tracer.py can count block calls apart
     apply_block = apply
 
     def precondition(self, values, shift):
@@ -305,38 +305,43 @@ class H0Action:
         dim = self.grid.dim
         return ifftn(fftn(values, dim) / (shift + self.k2), dim)
 
-    def energy_parts(self, values):
-        """(kinetic, potential, rotational) expectations of a unit-norm field.
-
-        Raises ValueError when the rotational expectation, which must be
-        real for the Hermitian operator, has an imaginary part above 1e-10.
+    def energy_parts(self, rows):
+        """Per-row (kinetic, potential, rotational) expectations of an (n,) + grid
+        stack of unit-norm fields, from one forward transform and, when rotating,
+        one batched ``inverse``.  Raises ValueError when a rotational expectation,
+        which must be real for the Hermitian operator, has an imaginary part above 1e-10.
         """
         grid = self.grid
-        spectrum = fftn(values)
+        axes = tuple(range(1, rows.ndim))
+        spectrum = fftn(rows, grid.dim)
         w = grid.cell_volume / np.prod(grid.points)  # Parseval weight
-        kinetic = float(np.sum(self.k2 * (spectrum.real**2 + spectrum.imag**2))) * w
-        dens = values.real**2 + values.imag**2
-        potential = float(np.sum(self.V * dens)) * grid.cell_volume
-        rotational = 0.0
+        kinetic = np.sum(self.k2 * (spectrum.real**2 + spectrum.imag**2), axis=axes) * w
+        potential = np.sum(self.V * (rows.real**2 + rows.imag**2), axis=axes) * grid.cell_volume
+        rotational = np.zeros(len(rows))
         if self.rotating:
-            acc = imag = 0.0
-            for axis, coeff in self.rotating:
+            conj, acc, imag = np.conj(rows), 0.0, 0.0
+            for (_, coeff), d in zip(self.rotating, self.inverse(spectrum)[1]):
                 # -<phi| -i c d/dx |phi> = -Im <phi| c d/dx |phi>
-                prod = np.conj(values) * ifftn(self.ik[axis] * spectrum)
-                acc += float(np.sum(coeff * prod.imag))
-                imag += float(np.sum(coeff * prod.real))
+                prod = np.multiply(conj, d, out=d)  # d is the inverse's scratch
+                acc += np.sum(coeff * prod.imag, axis=axes)
+                imag += np.sum(coeff * prod.real, axis=axes)
             rotational = -acc * grid.cell_volume
             imag *= grid.cell_volume
-            if abs(imag) > 1e-10:
-                raise ValueError(f"rotational term has imaginary part {imag!r}")
+            if np.any(abs(imag) > 1e-10):
+                raise ValueError(f"rotational term has imaginary part {imag.tolist()!r}")
         return kinetic, potential, rotational
+
+
+def on_grid(spec, phi):
+    """The values of ``phi``; raises ValueError unless it lives on the spec's grid."""
+    if phi.grid is not spec.grid and phi.grid != spec.grid:
+        raise ValueError("field and model spec use different grids")
+    return phi.values
 
 
 def apply_h0(spec, phi):
     """Apply H0 = -Delta + V - Omega.L to a field."""
-    if phi.grid is not spec.grid and phi.grid != spec.grid:
-        raise ValueError("field and model spec use different grids")
-    return Field(spec.grid, spec.h0.apply(phi.values))
+    return Field(spec.grid, spec.h0.apply(on_grid(spec, phi)))
 
 
 def angular_momentum_z(phi):

@@ -153,11 +153,11 @@ PINS = {
     },
     "sweep-g": {
         "sweep.csv":
-            "4c47827eb106c5a813392fa03e95f447d9617c02e679dbbf814554621072c91d",
+            "27a722ea316941814c62ddac45531dcd714ad46f28f3886abeea806f9d02b966",
     },
     "sweep-omega": {
         "sweep.csv":
-            "5e0d1adb25e484ff5bf25d5671344a2e707d0cfc4039e48063cddd86fb253281",
+            "c38fc1c06f9f20ceaf732b8e418341c7bcfba7dce34f166e5eca2f69af79420b",
     },
 }
 
@@ -174,8 +174,17 @@ def run_case(name, outdir):
             for p in sorted(outdir.iterdir())}
 
 
+def moved_texts(outdir, digests, pins):
+    """The text of every .json or .csv output whose digest is not its pin."""
+    return "".join(f"\n--- {name}\n{(outdir / name).read_text()}"
+                   for name, digest in digests.items()
+                   if name.endswith((".json", ".csv")) and digest != pins.get(name))
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_outputs_are_byte_identical(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     write_sampled_trap(tmp_path)
-    assert run_case(name, tmp_path / "out") == PINS[name]
+    outdir = tmp_path / "out"
+    digests = run_case(name, outdir)
+    assert digests == PINS[name], moved_texts(outdir, digests, PINS[name])

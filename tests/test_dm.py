@@ -89,11 +89,30 @@ def test_dmstate_validation():
         DMState(orbitals=[a], weights=[0.7]).validate()  # off simplex
 
 
-def test_dm_energy_rank1_matches_gp(eigenpairs):
-    spec = harmonic_spec(g=7.0)
-    result = minimize_gp(spec, tol=1e-8, max_iter=6000, restarts=1, seed=3)
-    state = DMState(orbitals=[result.phi], weights=[1.0])
-    assert abs(dm_energy(spec, state) - gp_energy(spec, result.phi).total) < 1e-12
+def test_dmstate_density_is_the_weighted_orbital_sum(eigenpairs):
+    (_, phi0), (_, phi1) = eigenpairs
+    state = DMState(orbitals=[phi0, phi1], weights=[0.3, 0.7])
+    state.validate()
+    want = sum(w * (phi.values.real**2 + phi.values.imag**2)
+               for w, phi in zip(state.weights, state.orbitals))
+    assert np.allclose(state.density(), want, rtol=1e-14, atol=1e-14 * want.max())
+
+
+def test_dm_energy_rank1_matches_gp():
+    # one pass reports both: a rank-1 state is its field's one-row stack
+    for omega in (0.0, 0.8):
+        spec = harmonic_spec(g=7.0, omega=omega)
+        result = minimize_gp(spec, tol=1e-8, max_iter=6000, restarts=1, seed=3)
+        state = DMState(orbitals=[result.phi], weights=[1.0])
+        assert dm_energy(spec, state) == gp_energy(spec, result.phi).total
+
+
+def test_dm_energy_rejects_another_grid():
+    wide = Grid((8.0, 8.0), (32, 32))
+    phi = normalized(Field(wide, np.exp(-0.5 * wide.radius2_mesh).astype(complex)))
+    spec = harmonic_spec(grid=Grid((6.0, 6.0), (32, 32)))
+    with pytest.raises(ValueError, match="different grids"):
+        dm_energy(spec, DMState(orbitals=[phi], weights=[1.0]))
 
 
 def test_dm_energy_linear_cases(eigenpairs):

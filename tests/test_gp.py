@@ -23,7 +23,8 @@ from rotbec.gp import (
     vortex_seed,
 )
 from rotbec.lattice import THREADED_SIZE, Field, Grid, fftn, ifftn, norm, normalized
-from rotbec.model import HarmonicTrap, ModelSpec, RotationSpec, SampledTrap, apply_h0
+from rotbec.model import (HarmonicTrap, ModelSpec, QuarticTrap, RotationSpec, SampledTrap,
+                          apply_h0)
 from rotbec.diagnostics import density_l1_distance
 from conftest import logged_descend, noise_field
 
@@ -63,6 +64,44 @@ def test_energy_rejects_unnormalized():
     phi = Field(GRID2, np.exp(-0.5 * GRID2.radius2_mesh).astype(complex))
     with pytest.raises(NotNormalized):
         gp_energy(spec, phi)
+
+
+# (grid, trap, omega, g, (kinetic, potential, rotational, interaction), mu) of
+# one fixed field per spec, pinned bitwise from the former per-axis pass
+BREAKDOWN_PINS = [
+    (Grid((7.0, 7.0), (32, 32)), HarmonicTrap(1.0), 0.8, 15.0,
+     (5.841043348894213, 1.8827391058426117, -0.7207360840725511, 18.96877762483702),
+     44.94060162033831),
+    (Grid((9.0, 9.0), (96, 96)), HarmonicTrap(1.0), 0.5, 20.0,
+     (33.03213900857713, 1.9155397772116538, -0.4642291767671457, 25.332282625661986),
+     85.14801486034561),
+    (Grid((6.0,) * 3, (16,) * 3), HarmonicTrap(1.0), (0.3, 0.0, 0.5), 2.0,
+     (4.639419235777997, 2.5745476433335033, -0.44659240818053547, 1.0979819754670421),
+     8.96333842186505),
+    (Grid((6.0,) * 3, (16,) * 3), QuarticTrap(1.0, 0.1), 0.0, 2.0,
+     (4.639419235777997, 3.4701389838687797, 0.0, 1.0979819754670421),
+     10.305522170580861),
+]
+
+
+@pytest.mark.parametrize("grid, trap, omega, g, terms, mu", BREAKDOWN_PINS,
+                         ids=["32^2-rotating", "96^2-rotating", "16^3-tilted", "16^3-quartic"])
+def test_energy_terms_are_pinned(grid, trap, omega, g, terms, mu):
+    spec = ModelSpec(grid, trap, RotationSpec(omega), g)
+    rng = np.random.default_rng(3)
+    phi = normalized(Field(grid, vortex_seed(grid, 1) + 0.3 * noise_field(grid, rng)))
+    parts = gp_energy(spec, phi)
+    assert (parts.kinetic, parts.potential, parts.rotational, parts.interaction) == terms
+    assert chemical_potential(spec, phi) == mu
+
+
+@pytest.mark.parametrize("fn", [gp_energy, chemical_potential, gp_gradient, apply_h0])
+def test_field_functions_reject_another_grid(fn):
+    # a unit Gaussian on [-8, 8)^2 against a spec on [-6, 6)^2, both 32^2
+    wide = Grid((8.0, 8.0), (32, 32))
+    phi = normalized(Field(wide, np.exp(-0.5 * wide.radius2_mesh).astype(complex)))
+    with pytest.raises(ValueError, match="different grids"):
+        fn(harmonic_spec(grid=Grid((6.0, 6.0), (32, 32))), phi)
 
 
 def test_gradient_equals_h0_at_zero_coupling():

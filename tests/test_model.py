@@ -294,6 +294,55 @@ def test_h0_apply_equals_per_axis_transforms_bitwise(grid, omega, rows):
     assert np.array_equal(spec.h0.apply(values), per_axis_apply(spec.h0, values))
 
 
+ENERGY_CASES = [
+    (Grid((7.0, 7.0), (32, 32)), 0.8),  # two rotating derivatives
+    (Grid((7.0, 7.0), (32, 32)), 0.0),
+    (Grid((6.0,) * 3, (16,) * 3), (0.3, 0.0, 0.5)),  # tilted: three
+]
+
+
+def unit_rows(grid, count, rng):
+    return np.stack([normalized(Field(grid, noise_field(grid, rng))).values
+                     for _ in range(count)])
+
+
+@pytest.mark.parametrize("grid, omega", ENERGY_CASES)
+def test_energy_parts_of_a_stack_equal_its_rows_bitwise(grid, omega):
+    spec = ModelSpec(grid, HarmonicTrap((1.0,) * grid.dim), RotationSpec(omega), 0.0)
+    stack = unit_rows(grid, 3, np.random.default_rng(12))
+    parts = spec.h0.energy_parts(stack)
+    assert all(part.shape == (3,) for part in parts)
+    for i, row in enumerate(stack):
+        assert [part[i] for part in parts] == [
+            part[0] for part in spec.h0.energy_parts(row[None])]
+
+
+@pytest.mark.parametrize("grid, omega", ENERGY_CASES)
+def test_energy_parts_transform_count(monkeypatch, grid, omega):
+    # one forward transform; when rotating, one batched inverse for every derivative
+    spec = ModelSpec(grid, HarmonicTrap((1.0,) * grid.dim), RotationSpec(omega), 0.0)
+    stack = unit_rows(grid, 2, np.random.default_rng(13))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(self_or_values, *args, **kwargs):
+            shape = getattr(self_or_values, "shape", None)
+            calls.append((name, shape))
+            return fn(self_or_values, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rotbec.model, "fftn", counted("fftn", fftn))
+    monkeypatch.setattr(rotbec.model, "ifftn", counted("ifftn", ifftn))
+    monkeypatch.setattr(H0Action, "inverse", counted("inverse", H0Action.inverse))
+    spec.h0.energy_parts(stack)
+    want = [("fftn", stack.shape)]
+    if omega:
+        derivatives = len(spec.h0.rotating)
+        assert derivatives == grid.dim
+        want += [("inverse", None), ("ifftn", (1 + derivatives,) + stack.shape)]
+    assert calls == want
+
+
 def test_every_transform_uses_the_lattice_thread_setting(monkeypatch):
     # a sentinel thread count reaches the large transforms only; every
     # transform below THREADED_SIZE elements runs on one thread
