@@ -112,7 +112,6 @@ def chemical_potential(spec, phi):
 class _State:
     psi: np.ndarray
     energy: float
-    e_h0: float
     mu: float
     dens: np.ndarray
     res: np.ndarray
@@ -159,7 +158,7 @@ class _Flow:
         mu = float(np.vdot(psi, grad).real) * self.dV
         res = grad - mu * psi
         resnorm = float(np.linalg.norm(res)) * math.sqrt(self.dV)
-        return _State(psi, e_h0 + e_int, e_h0, mu, dens, res, resnorm)
+        return _State(psi, e_h0 + e_int, mu, dens, res, resnorm)
 
     def _dot(self, a, b):
         """Re<a|b> of the arrays whose spectra are a and b (Parseval)."""
@@ -185,9 +184,10 @@ class _Flow:
 
     def _real_space_terms(self, st, spectrum):
         """V d - Omega.L d plus the interaction terms of the Hessian, for the d
-        of ``spectrum``, from one batched inverse transform.  (d and its
-        derivatives are freed on return, before the forward transform.)"""
-        d, derivatives = self.action.inverse(spectrum)
+        of ``spectrum``, from one batched inverse transform: scale 1.0 gives
+        d itself, then its derivatives.  (They are freed on return, before
+        the forward transform.)"""
+        d, *derivatives = self.action.inverse(spectrum, 1.0)
         local = self.action.real_part(d, derivatives)
         if self.coeff:
             local += self.coeff * (st.dens * d + self._density_rate(st.psi, d) * st.psi)

@@ -109,8 +109,11 @@ class SampledTrap:
         return self.values
 
     def is_axisymmetric(self, grid):
-        # axisymmetry is only certified up to the grid's exact symmetry,
-        # rotation by 90 degrees about the last axis
+        # axisymmetry is only certified up to the grid's exact symmetry, the
+        # quarter turn in the plane of axes 0 and 1, which a grid has only
+        # when those axes have equal points and equal half-widths
+        if grid.points[0] != grid.points[1] or grid.half_widths[0] != grid.half_widths[1]:
+            return False
         V = self.evaluate(grid)
         rot = np.rot90(V, axes=(0, 1))
         return bool(np.allclose(V, rot, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(V)))))
@@ -244,43 +247,29 @@ class H0Action:
         self.k2 = grid.k2_mesh
         self.ik = grid.ik_meshes
         # Omega.L = -i (Omega ^ x).grad: (axis, real coefficient mesh) of
-        # every derivative with a nonzero coefficient
-        self.rotating = ()
-        if not spec.rotation.is_zero:
-            self.rotating = tuple((axis, c) for axis, c in
-                                  enumerate(_omega_cross_x(spec.rotation, grid)[: grid.dim])
-                                  if np.any(c))
+        # every derivative with a nonzero coefficient; none at Omega = 0
+        self.rotating = tuple((axis, c) for axis, c in
+                              enumerate(_omega_cross_x(spec.rotation, grid)[: grid.dim])
+                              if np.any(c))
 
     def apply(self, values):
         """H0 on a field or on a stack of fields shaped (m,) + grid.shape."""
-        dim = self.grid.dim
-        spectrum = fftn(values, dim)
-        if self.rotating:
-            out, derivatives = self.inverse(spectrum, self.k2)  # -Delta and d/dx_a
-        else:
-            spectrum *= self.k2
-            out, derivatives = ifftn(spectrum, dim), ()
+        out, *derivatives = self.inverse(fftn(values, self.grid.dim), self.k2)  # -Delta, d/dx_a
         return self.real_part(values, derivatives, out)
 
-    def inverse(self, spectrum, scale=None):
+    def inverse(self, spectrum, *scales):
         """One batched inverse transform of a field's (or stack's) ``spectrum``.
 
-        Returns (the field, or -Delta of it when ``scale`` is k2; its
-        derivatives along the rotating axes, for ``real_part``).  The
-        spectrum is left as it is.
+        Returns the rows scale * spectrum, one per given scale (k2 gives
+        -Delta of the field, 1.0 the field itself), then the derivatives
+        along the rotating axes, for ``real_part``, all in real space and in
+        that order.  The spectrum is left as it is.
         """
-        if not self.rotating:
-            return ifftn(spectrum.copy() if scale is None else scale * spectrum,
-                         self.grid.dim), ()
-        rows = np.empty((1 + len(self.rotating),) + spectrum.shape, dtype=complex)
-        if scale is None:
-            rows[0] = spectrum
-        else:
-            np.multiply(scale, spectrum, out=rows[0])
-        for row, (axis, _) in zip(rows[1:], self.rotating):
-            np.multiply(self.ik[axis], spectrum, out=row)
-        rows = ifftn(rows, self.grid.dim)
-        return rows[0], rows[1:]
+        factors = scales + tuple(self.ik[axis] for axis, _ in self.rotating)
+        rows = np.empty((len(factors),) + spectrum.shape, dtype=complex)
+        for row, factor in zip(rows, factors):
+            np.multiply(factor, spectrum, out=row)
+        return ifftn(rows, self.grid.dim)
 
     def real_part(self, values, derivatives, out=None):
         """V x - Omega.L x, the real-space part of H0 on x = ``values``.
@@ -308,8 +297,9 @@ class H0Action:
     def energy_parts(self, rows):
         """Per-row (kinetic, potential, rotational) expectations of an (n,) + grid
         stack of unit-norm fields, from one forward transform and, when rotating,
-        one batched ``inverse``.  Raises ValueError when a rotational expectation,
-        which must be real for the Hermitian operator, has an imaginary part above 1e-10.
+        one batched ``inverse`` of the derivatives alone.  Raises ValueError when
+        a rotational expectation, which must be real for the Hermitian operator,
+        has an imaginary part above 1e-10.
         """
         grid = self.grid
         axes = tuple(range(1, rows.ndim))
@@ -320,7 +310,7 @@ class H0Action:
         rotational = np.zeros(len(rows))
         if self.rotating:
             conj, acc, imag = np.conj(rows), 0.0, 0.0
-            for (_, coeff), d in zip(self.rotating, self.inverse(spectrum)[1]):
+            for (_, coeff), d in zip(self.rotating, self.inverse(spectrum)):
                 # -<phi| -i c d/dx |phi> = -Im <phi| c d/dx |phi>
                 prod = np.multiply(conj, d, out=d)  # d is the inverse's scratch
                 acc += np.sum(coeff * prod.imag, axis=axes)

@@ -218,6 +218,21 @@ def test_sampled_trap_runs_in_3d(tmp_path):
     assert payload["energy"] == want["energy"]
 
 
+def test_sampled_trap_on_an_oblong_grid_runs(tmp_path):
+    # axes 0 and 1 differ in points: the trap cannot be certified
+    # axisymmetric, so the result has no s_metric (and the solve ends)
+    x = (np.arange(32) + 0.5) * (14.0 / 32) - 7.0
+    y = (np.arange(24) + 0.5) * (12.0 / 24) - 6.0
+    values = tmp_path / "trap.txt"
+    np.savetxt(values, x[:, None] ** 2 + y[None, :] ** 2, fmt="%.17g")
+    path = tmp_path / "cfg.json"
+    write_config(path, model={"half_width": [7.0, 6.0], "points": [32, 24], "omega": 0.5,
+                              "g": 4.0, "trap": {"kind": "sampled", "values_file": str(values)}})
+    assert main(["gp-min", "--config", str(path)]) == 0
+    payload = json.loads((tmp_path / "out" / "gp_result.json").read_text())
+    assert "s_metric" not in payload
+
+
 def test_config_hash_ignores_outputs(tmp_path):
     path = tmp_path / "cfg.json"
     write_config(path)

@@ -51,6 +51,19 @@ def test_stability_quartic_any_omega():
         assert check_stability(trap, RotationSpec(omega), GRID2).stable
 
 
+def test_sampled_trap_certifies_axisymmetry_only_on_a_square_plane():
+    # the quarter turn maps the grid onto itself only when axes 0 and 1 agree
+    square = Grid((7.0, 7.0), (32, 32))
+    assert SampledTrap(square.radius2_mesh).is_axisymmetric(square)
+    assert not SampledTrap(square.radius2_mesh + square.meshes[0]).is_axisymmetric(square)
+    for grid in (Grid((7.0, 6.0), (32, 24)), Grid((7.0, 6.0), (32, 32)),
+                 Grid((7.0, 7.0, 5.0), (32, 24, 16))):
+        assert not SampledTrap(grid.radius2_mesh).is_axisymmetric(grid)  # and no error
+    grid = Grid((7.0, 6.0), (32, 24))
+    spec = ModelSpec(grid, SampledTrap(grid.radius2_mesh), RotationSpec(0.5), 4.0)
+    assert not spec.is_axisymmetric
+
+
 def test_stability_sampled_shell():
     V = GRID2.radius2_mesh.copy()
     trap = SampledTrap(V)
@@ -319,7 +332,8 @@ def test_energy_parts_of_a_stack_equal_its_rows_bitwise(grid, omega):
 
 @pytest.mark.parametrize("grid, omega", ENERGY_CASES)
 def test_energy_parts_transform_count(monkeypatch, grid, omega):
-    # one forward transform; when rotating, one batched inverse for every derivative
+    # one forward transform; when rotating, one batched inverse of the
+    # derivatives alone (no row of the field itself)
     spec = ModelSpec(grid, HarmonicTrap((1.0,) * grid.dim), RotationSpec(omega), 0.0)
     stack = unit_rows(grid, 2, np.random.default_rng(13))
     calls = []
@@ -339,8 +353,26 @@ def test_energy_parts_transform_count(monkeypatch, grid, omega):
     if omega:
         derivatives = len(spec.h0.rotating)
         assert derivatives == grid.dim
-        want += [("inverse", None), ("ifftn", (1 + derivatives,) + stack.shape)]
+        want += [("inverse", None), ("ifftn", (derivatives,) + stack.shape)]
     assert calls == want
+
+
+@pytest.mark.parametrize("grid, omega", ENERGY_CASES)
+def test_inverse_rows_are_the_scaled_field_then_its_derivatives(grid, omega):
+    # one rule, rotating or not: a row per scale, then one per rotating axis
+    spec = ModelSpec(grid, HarmonicTrap((1.0,) * grid.dim), RotationSpec(omega), 0.0)
+    action = spec.h0
+    spectrum = fftn(unit_rows(grid, 2, np.random.default_rng(14)), grid.dim)
+    kept = spectrum.copy()
+    rows = action.inverse(spectrum, 1.0, grid.k2_mesh)
+    assert np.array_equal(spectrum, kept)  # the spectrum is left as it is
+    assert len(rows) == 2 + len(action.rotating)
+    assert np.array_equal(rows[0], ifftn(spectrum.copy(), grid.dim))  # 1.0: an exact copy
+    assert np.array_equal(rows[1], ifftn(grid.k2_mesh * spectrum, grid.dim))
+    for row, (axis, _) in zip(rows[2:], action.rotating):
+        assert np.array_equal(row, ifftn(grid.ik_meshes[axis] * spectrum, grid.dim))
+    derivatives = action.inverse(spectrum)
+    assert np.array_equal(derivatives, rows[2:])
 
 
 def test_every_transform_uses_the_lattice_thread_setting(monkeypatch):
