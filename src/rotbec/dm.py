@@ -201,14 +201,15 @@ def minimize_dm(spec, n, tol=1e-7, max_iter=40000, restarts=2, seed=0,
     ``seed_fields`` (optional) is a list of fields used to build the first
     restart, e.g. a GP minimizer to guarantee E_DM <= E_GP, or the
     orbitals of a lower-rank solution.  ``starts`` replaces the whole
-    start list with explicit (n,)+grid stacks.  ``restarts`` of the result
-    lists every start, converged or not.
+    start list with explicit (n,)+grid stacks, each an array or a
+    sequence of n fields.  ``restarts`` of the result lists every start,
+    converged or not.
     """
     check_rank(n)
     if starts is None:
         starts = _dm_starts(spec.grid, n, restarts, seed, seed_fields)
     else:
-        starts = _given_starts(starts, (n,) + spec.grid.shape, InvalidState)
+        starts = _given_starts(spec, starts, (n,), InvalidState)
     stacks, records = _Flow(spec).descend_all(starts, tol, max_iter)
     best = None
     for stack, rec in zip(stacks, records):

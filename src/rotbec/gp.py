@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import NoConvergence, NotNormalized
-from .lattice import THREADED_SIZE, Field, blas_threads, fftn, ifftn, thread_budget
+from .lattice import THREADED_SIZE, Field, Slabs, blas_threads, fftn, ifftn, thread_budget
 from .model import on_grid
 
 _NORM_TOL = 1e-8
@@ -127,6 +127,17 @@ class _Flow:
     stack of fields sharing one global norm constraint.  H0 and the
     transforms act row by row on a stack; only the density and its rate
     sum over the leading axis, and only when there is one.
+
+    Every elementwise operation of a descent goes through ``slabs``
+    (``lattice.Slabs``): during ``descend_all`` on a start of at least
+    THREADED_SIZE elements it is cut along the grid's first axis over the
+    thread budget, the same size rule that gives transforms their threads.
+    The operations allocate and reuse arrays as numpy does for the plain
+    expression on large arrays (``x + a * d`` is ``t = a * d; t += x``), so
+    the heap, and with it peak memory, stays as it was.  Every reduction
+    (the energies, ``_dot``, norms, the projection's coefficient) is made
+    whole on the calling thread, since a split sum rounds differently; so
+    no bit depends on the thread count.
     """
 
     def __init__(self, spec):
@@ -135,28 +146,43 @@ class _Flow:
         self.dV = spec.grid.cell_volume
         self.weight = self.dV / math.prod(spec.grid.shape)  # Parseval: dV / N
         self.coeff = 8.0 * math.pi * spec.g
+        self.slabs = self.action.slabs  # one slab, inline, outside descend_all
 
     def _rowsum(self, a):
-        return a.sum(axis=0) if a.ndim > self.dim else a
+        if a.ndim == self.dim:
+            return a
+        out = np.empty(a.shape[1:], a.dtype)
+        self.slabs.run(a, lambda cut: np.sum(cut(a), axis=0, out=cut(out)))
+        return out
 
     def _density(self, psi):
-        return self._rowsum(psi.real**2 + psi.imag**2)
+        op = self.slabs
+        squares = op(np.square, psi.real)
+        return self._rowsum(op(np.add, squares, op(np.square, psi.imag), out=squares))
 
     def _density_rate(self, psi, d):
-        return 2.0 * self._rowsum((np.conj(psi) * d).real)
+        op = self.slabs
+        prod = op(np.conj, psi)
+        rate = self._rowsum(op(np.multiply, prod, d, out=prod).real)
+        # a stack's row sum is a new array, doubled in place; a field's is a view
+        return op(np.multiply, rate, 2.0, out=rate if psi.ndim > self.dim else None)
 
     def normalize(self, psi):
-        return psi / (np.linalg.norm(psi) * math.sqrt(self.dV))
+        return self.slabs(np.divide, psi, np.linalg.norm(psi) * math.sqrt(self.dV))
 
     def evaluate(self, psi):
         """Energy, chemical potential and sphere residual of a unit-norm array."""
-        hpsi = self.action.apply(psi)
+        op = self.slabs
+        hpsi = self.action.apply(psi, op)
         dens = self._density(psi)
         e_h0 = float(np.vdot(psi, hpsi).real) * self.dV
-        e_int = 0.5 * self.coeff * float(np.sum(dens * dens)) * self.dV
-        grad = hpsi + self.coeff * dens * psi if self.coeff else hpsi
+        e_int = 0.5 * self.coeff * float(np.sum(op(np.multiply, dens, dens))) * self.dV
+        grad = hpsi
+        if self.coeff:
+            grad = op(np.multiply, op(np.multiply, self.coeff, dens), psi)
+            op(np.add, grad, hpsi, out=grad)
         mu = float(np.vdot(psi, grad).real) * self.dV
-        res = grad - mu * psi
+        res = op(np.subtract, grad, op(np.multiply, mu, psi))
         resnorm = float(np.linalg.norm(res)) * math.sqrt(self.dV)
         return _State(psi, e_h0 + e_int, mu, dens, res, resnorm)
 
@@ -167,8 +193,14 @@ class _Flow:
     def _project(self, psi_hat, v):
         """Remove, in place, the component of the spectrum v along the unit-norm
         state whose spectrum is psi_hat: the tangent projection."""
-        v -= psi_hat * (np.vdot(psi_hat, v) * self.weight)
-        return v
+        op = self.slabs
+        return op(np.subtract, v, op(np.multiply, psi_hat, np.vdot(psi_hat, v) * self.weight),
+                  out=v)
+
+    def _axpy(self, x, scale, v):
+        """x + scale * v as a new array."""
+        out = self.slabs(np.multiply, scale, v)
+        return self.slabs(np.add, out, x, out=out)
 
     def hessian(self, st, psi_hat, spectrum):
         """Tangent-projected second variation of the energy at st, on a spectrum.
@@ -178,8 +210,9 @@ class _Flow:
         transforms: the inverse in ``_real_space_terms`` and one forward;
         (k^2 - mu) and the projection act on the spectrum.
         """
+        op = self.slabs
         out = fftn(self._real_space_terms(st, spectrum), self.dim)
-        out += (self.action.k2 - st.mu) * spectrum
+        op(np.add, out, op(np.multiply, op(np.subtract, self.action.k2, st.mu), spectrum), out=out)
         return self._project(psi_hat, out)
 
     def _real_space_terms(self, st, spectrum):
@@ -187,10 +220,13 @@ class _Flow:
         of ``spectrum``, from one batched inverse transform: scale 1.0 gives
         d itself, then its derivatives.  (They are freed on return, before
         the forward transform.)"""
-        d, *derivatives = self.action.inverse(spectrum, 1.0)
-        local = self.action.real_part(d, derivatives)
+        op = self.slabs
+        d, *derivatives = self.action.inverse(spectrum, 1.0, slabs=op)
+        local = self.action.add_rotation(op(np.multiply, self.action.V, d), derivatives, op)
         if self.coeff:
-            local += self.coeff * (st.dens * d + self._density_rate(st.psi, d) * st.psi)
+            terms = op(np.multiply, st.dens, d)
+            op(np.add, terms, op(np.multiply, self._density_rate(st.psi, d), st.psi), out=terms)
+            op(np.add, local, op(np.multiply, terms, self.coeff, out=terms), out=local)
         return local
 
     def _subproblem(self, st, radius, cap, rel_tol):
@@ -206,20 +242,20 @@ class _Flow:
         included.  Returns (real-space step, predicted model decrease,
         hit_boundary, applies).
         """
+        op = self.slabs
         psi_hat = fftn(st.psi, self.dim)
-        recip = 1.0 / (max(1.0, abs(st.mu)) + self.action.k2)
+        recip = op(np.divide, 1.0, op(np.add, max(1.0, abs(st.mu)), self.action.k2))
         sigma = st.resnorm
 
         def curvature(v):
             out = self.hessian(st, psi_hat, v)
-            out += sigma * v
-            return out
+            return op(np.add, out, op(np.multiply, sigma, v), out=out)
 
         r = fftn(st.res, self.dim)
         x = np.zeros_like(r)
         xn2 = 0.0
-        z = self._project(psi_hat, recip * r)
-        d = -z
+        z = self._project(psi_hat, op(np.multiply, recip, r))
+        d = op(np.negative, z)
         rz = self._dot(r, z)
         gnorm2 = st.resnorm * st.resnorm
         inner = 0
@@ -232,19 +268,19 @@ class _Flow:
                 boundary = True
                 break
             alpha = rz / djd
-            xn = x + alpha * d
+            xn = self._axpy(x, alpha, d)
             xn_norm2 = self._dot(xn, xn)
             if xn_norm2 >= radius * radius:
                 boundary = True
                 break
             x, xn2 = xn, xn_norm2
-            r += alpha * jd
+            op(np.add, r, op(np.multiply, alpha, jd), out=r)
             if self._dot(r, r) <= rel_tol * rel_tol * gnorm2:
                 break
-            z = self._project(psi_hat, recip * r)
+            z = self._project(psi_hat, op(np.multiply, recip, r))
             rz_new = self._dot(r, z)
-            d *= rz_new / rz
-            d -= z
+            op(np.multiply, d, rz_new / rz, out=d)
+            op(np.subtract, d, z, out=d)
             rz = rz_new
         # the boundary point needs one more application (r is stale there);
         # without room for it the step stays at the last interior iterate
@@ -253,7 +289,7 @@ class _Flow:
             dd = self._dot(d, d)
             xd = self._dot(x, d)
             tau = (-xd + math.sqrt(max(xd * xd + dd * (radius * radius - xn2), 0.0))) / dd
-            x = x + tau * d
+            x = self._axpy(x, tau, d)
             jx = curvature(x)
             inner += 1
             model = self._dot(x, jx)
@@ -293,7 +329,7 @@ class _Flow:
             iters += inner
             if predicted >= 0.0:
                 break  # no descent left in the model
-            cand = self.evaluate(self.normalize(st.psi + step))
+            cand = self.evaluate(self.normalize(self.slabs(np.add, st.psi, step)))
             iters += 1
             noise_floor = 5e-15 * max(1.0, abs(st.energy))
             if -predicted > noise_floor:
@@ -328,20 +364,29 @@ class _Flow:
         Both come back in start order.  numpy's OpenBLAS is held at one
         thread throughout, so no bit depends on the thread count and large
         transforms get the cores.  Single fields on grids below
-        THREADED_SIZE points run side by side on the thread budget; stacks
-        and larger grids run one after another.  Raises NoConvergence when
-        no start converges.
+        THREADED_SIZE points run side by side on the thread budget.  Stacks
+        and larger grids run one after another; when a start has at least
+        THREADED_SIZE elements, the size rule of the transforms, the budget
+        also cuts every elementwise operation of its descent into slabs
+        (``lattice.Slabs``): slab 0 on this thread, the others on threads
+        started for the call.  Raises NoConvergence when no start converges.
         """
         def descend(start):
             return self.descend(start[1], tol, max_iter)
 
+        side_by_side = (starts[0][1].ndim == self.dim
+                        and math.prod(self.action.grid.shape) < THREADED_SIZE)
         with blas_threads("numpy", 1):
-            if starts[0][1].ndim > self.dim or math.prod(self.action.grid.shape) >= THREADED_SIZE:
-                runs = [descend(start) for start in starts]
-            else:
-                threads = max(1, min(thread_budget(), len(starts)))
-                with ThreadPoolExecutor(threads) as pool:
+            if side_by_side:
+                with ThreadPoolExecutor(min(thread_budget(), len(starts))) as pool:
                     runs = list(pool.map(descend, starts))
+            else:
+                large = starts[0][1].size >= THREADED_SIZE
+                with Slabs(self.dim, thread_budget() if large else 1) as self.slabs:
+                    try:
+                        runs = [descend(start) for start in starts]
+                    finally:
+                        self.slabs = self.action.slabs
         records = tuple(Restart(kind, iters, ok, res)
                         for (kind, _), (_, res, iters, ok) in zip(starts, runs))
         if not any(r.ok for r in records):
@@ -350,9 +395,21 @@ class _Flow:
         return [run[0] for run in runs], records
 
 
-def _given_starts(starts, shape, error):
-    """Explicit ``starts=`` as ("given", array) pairs, each of ``shape``."""
-    starts = [("given", np.asarray(psi0)) for psi0 in starts]
+def _given_starts(spec, starts, rows, error):
+    """Explicit ``starts=`` as ("given", array) pairs, each of ``rows`` + grid
+    shape.  A start is an array, a Field on the spec's grid (a one-row
+    stack where ``rows`` is given) or a sequence of either, stacked; a Field
+    on another grid raises ValueError."""
+    def values(start):
+        if isinstance(start, Field):
+            return on_grid(spec, start)
+        if isinstance(start, (list, tuple)):
+            return np.stack([values(row) for row in start])
+        return np.asarray(start)
+
+    shape = rows + spec.grid.shape
+    starts = [("given", values([psi0] if rows and isinstance(psi0, Field) else psi0))
+              for psi0 in starts]
     if not starts:
         raise ValueError("starts= is empty: there is nothing to descend from")
     if any(psi0.shape != shape for _, psi0 in starts):
@@ -384,14 +441,15 @@ def minimize_gp_family(spec, tol=1e-8, max_iter=200000, restarts=4, seed=0,
                        starts=None):
     """All converged restarts sorted by energy (best first).
 
-    Each result's ``restarts`` lists every start, converged or not.  On
+    Each result's ``restarts`` lists every start, converged or not.
+    ``starts`` (arrays or fields) replaces the vortex and noise starts.  On
     grids below ``lattice.THREADED_SIZE`` points the restarts run side by
     side (``_Flow.descend_all``); the results do not depend on that.
     """
     if starts is None:
         starts = _starting_fields(spec.grid, restarts, seed)
     else:
-        starts = _given_starts(starts, spec.grid.shape, ValueError)
+        starts = _given_starts(spec, starts, (), ValueError)
     fields, records = _Flow(spec).descend_all(starts, tol, max_iter)
     results = []
     for psi, rec in zip(fields, records):

@@ -14,7 +14,9 @@ import ctypes
 import glob
 import importlib
 import os
+import queue
 import tempfile
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -22,12 +24,14 @@ from functools import cache, cached_property
 import numpy as np
 from scipy import fft as _fft
 
-# Thread policy.  A transform with fewer than THREADED_SIZE elements runs on
-# one thread (at 96^2 a second scipy.fft thread gains nothing); the cores
-# go instead to whole solver restarts running side by side (gp.py).  Larger
-# transforms get thread_budget() threads, which every descent leaves free by
-# holding numpy's OpenBLAS at one thread.  scipy.fft gives the same bits
-# for any thread count.
+# Thread policy: one size rule.  A transform, or an elementwise phase of a
+# descent (``Slabs``), on fewer than THREADED_SIZE elements runs on one
+# thread (at 96^2 a second thread gains nothing); the cores go instead to
+# whole solver restarts running side by side (gp.py).  Larger ones get
+# thread_budget() threads, which every descent leaves free by holding
+# numpy's OpenBLAS at one thread.  scipy.fft and elementwise ufuncs give the
+# same bits for any thread count; reductions (sums, dots, norms) do not, so
+# they stay whole, on the calling thread.
 THREADED_SIZE = 1 << 17
 _THREAD_BUDGET = None  # threads this process may keep busy; None = usable CPUs
 
@@ -61,13 +65,118 @@ def thread_budget():
 
 
 def limit_threads(n):
-    """Hold this process to ``n`` threads: transforms and concurrent restarts.
+    """Hold this process to ``n`` threads: transforms, restarts and slabs.
 
     For pool workers, so that k processes do not each start one thread per
     core.  BLAS keeps its own setting outside ``blas_threads`` regions.
     """
     global _THREAD_BUDGET
     _THREAD_BUDGET = n
+
+
+def _whole(a):
+    return a
+
+
+class Slabs:
+    """Elementwise work on a grid's arrays, cut along the grid's first axis.
+
+    Each call is cut into ``count`` contiguous slabs of that axis (fewer
+    when it is shorter): slab 0 runs on the calling thread, the others on
+    threads that live while the object is entered as a context manager.  A
+    count of 1 runs the work inline, as the plain numpy call.  Elementwise
+    ufuncs give the same bits on any cut, so the count moves no bit;
+    reductions are the caller's, made whole.  Results are allocated on the
+    calling thread, in the order of the plain calls, so the heap does not
+    depend on the count either.
+    """
+
+    def __init__(self, dim, count=1):
+        self.dim = dim
+        self.count = count
+        self._cutters = {}  # axis length -> one cut function per slab
+        self._inboxes = []
+        self._done = queue.SimpleQueue()
+
+    def __enter__(self):
+        try:
+            for i in range(1, self.count):
+                inbox = queue.SimpleQueue()
+                worker = threading.Thread(target=self._serve, args=(inbox,),
+                                          name=f"rotbec-slab-{i}")
+                worker.start()
+                self._inboxes.append((inbox, worker))
+        except BaseException:
+            self.__exit__()  # join the threads already started
+            raise
+        return self
+
+    def __exit__(self, *exc):
+        for inbox, _ in self._inboxes:
+            inbox.put(None)
+        for _, worker in self._inboxes:
+            worker.join()
+        self._inboxes = []
+
+    def _serve(self, inbox):
+        while (job := inbox.get()) is not None:
+            try:
+                job[0](job[1])
+                error = None
+            except BaseException as exc:  # handed to the caller, which raises it
+                error = exc
+            job = None  # the phase's arrays are the caller's again before it resumes
+            self._done.put(error)
+
+    def __call__(self, ufunc, *operands, out=None):
+        """``ufunc(*operands, out=out)``: a new array when ``out`` is None."""
+        if self.count == 1:
+            return ufunc(*operands, out=out)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(*map(np.shape, operands)),
+                           np.result_type(*operands))
+        self.run(out, lambda cut: ufunc(*map(cut, operands), out=cut(out)))
+        return out
+
+    def bounds(self, like):
+        """The slabs of arrays shaped like ``like``: slices of the grid's first axis."""
+        n = like.shape[-self.dim]
+        k = min(self.count, n)
+        edges = [n * i // k for i in range(k + 1)]
+        return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+    def run(self, like, phase):
+        """``phase(cut)`` once per slab of ``like``, all done on return.
+
+        ``cut(a)`` is a's part of the slab: a view of its rows of the grid's
+        first axis, or a itself when it has no such axis or length 1 there
+        (scalars and meshes broadcast along it).  A phase writes through
+        those views.  Every slab has finished before an error propagates.
+        """
+        n = like.shape[-self.dim]
+        if n not in self._cutters:
+            self._cutters[n] = [self._cutter(rows) for rows in self.bounds(like)]
+        first, *rest = self._cutters[n]
+        if not rest:
+            phase(_whole)
+            return
+        for (inbox, _), cut in zip(self._inboxes, rest):
+            inbox.put((phase, cut))
+        try:
+            phase(first)
+        finally:
+            errors = [self._done.get() for _ in rest]
+        for exc in errors:
+            if exc is not None:
+                raise exc
+
+    def _cutter(self, rows):
+        index = (Ellipsis, rows) + (slice(None),) * (self.dim - 1)
+        dim = self.dim
+
+        def cut(a):
+            return a[index] if getattr(a, "ndim", 0) >= dim and a.shape[-dim] != 1 else a
+        return cut
 
 
 # The wheels bundle two OpenBLAS copies, each with its own thread count:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .errors import NoConvergence, Unstable
-from .lattice import Field, blas_threads, fftn, ifftn
+from .lattice import Field, Slabs, blas_threads, fftn, ifftn
 
 
 def per_axis(values, dim, what):
@@ -251,38 +251,42 @@ class H0Action:
         self.rotating = tuple((axis, c) for axis, c in
                               enumerate(_omega_cross_x(spec.rotation, grid)[: grid.dim])
                               if np.any(c))
+        # i c per rotating derivative: -Omega.L x = sum_a i c_a dx/dx_a
+        self.rotation_factors = tuple(1j * c for _, c in self.rotating)
+        self.slabs = Slabs(grid.dim)  # one slab, inline: callers outside a descent
 
-    def apply(self, values):
-        """H0 on a field or on a stack of fields shaped (m,) + grid.shape."""
-        out, *derivatives = self.inverse(fftn(values, self.grid.dim), self.k2)  # -Delta, d/dx_a
-        return self.real_part(values, derivatives, out)
+    def apply(self, values, slabs=None):
+        """H0 on a field or on a stack of fields shaped (m,) + grid.shape.
 
-    def inverse(self, spectrum, *scales):
+        ``slabs`` (default: one, inline) runs the elementwise work.
+        """
+        op = slabs or self.slabs
+        out, *derivatives = self.inverse(fftn(values, self.grid.dim), self.k2,
+                                         slabs=op)  # -Delta, d/dx_a
+        op(np.add, out, op(np.multiply, self.V, values), out=out)
+        return self.add_rotation(out, derivatives, op)
+
+    def inverse(self, spectrum, *scales, slabs=None):
         """One batched inverse transform of a field's (or stack's) ``spectrum``.
 
         Returns the rows scale * spectrum, one per given scale (k2 gives
         -Delta of the field, 1.0 the field itself), then the derivatives
-        along the rotating axes, for ``real_part``, all in real space and in
-        that order.  The spectrum is left as it is.
+        along the rotating axes, for ``add_rotation``, all in real space and
+        in that order.  The spectrum is left as it is.  ``slabs`` (default:
+        one, inline) makes the products.
         """
+        op = slabs or self.slabs
         factors = scales + tuple(self.ik[axis] for axis, _ in self.rotating)
         rows = np.empty((len(factors),) + spectrum.shape, dtype=complex)
         for row, factor in zip(rows, factors):
-            np.multiply(factor, spectrum, out=row)
+            op(np.multiply, factor, spectrum, out=row)
         return ifftn(rows, self.grid.dim)
 
-    def real_part(self, values, derivatives, out=None):
-        """V x - Omega.L x, the real-space part of H0 on x = ``values``.
-
-        ``derivatives`` are those of x along the rotating axes (see
-        ``inverse``).  The terms are added to ``out`` when it is given.
-        """
-        if out is None:
-            out = self.V * values
-        else:
-            out += self.V * values
-        for (_, coeff), dphi in zip(self.rotating, derivatives):
-            out += 1j * coeff * dphi  # -(-i c d/dx)
+    def add_rotation(self, out, derivatives, slabs):
+        """Add -Omega.L x to ``out`` in place, from x's ``derivatives`` along
+        the rotating axes (see ``inverse``)."""
+        for factor, dphi in zip(self.rotation_factors, derivatives):
+            slabs(np.add, out, slabs(np.multiply, factor, dphi), out=out)  # -(-i c d/dx)
         return out
 
     # the batched name stays for LOBPCG, its one caller, and so that

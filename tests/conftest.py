@@ -58,6 +58,17 @@ def logged_descend(fail=None):
     return wrapper, log
 
 
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a Python thread alive: a thread that is
+    never joined keeps the process from exiting."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before and t.is_alive()]
+    if left:
+        pytest.fail(f"threads left running: {[t.name for t in left]}")
+
+
 @pytest.fixture
 def blas_counts():
     """Thread counts of numpy's and scipy's bundled OpenBLAS, as a callable.

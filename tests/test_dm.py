@@ -207,6 +207,23 @@ def test_dm_explicit_starts_checked_before_descent(monkeypatch):
     assert log == []
 
 
+def test_dm_takes_field_starts():
+    spec = harmonic_spec(g=5.0)
+    rows = [vortex_seed(GRID, q) for q in range(2)]
+    kw = dict(tol=1e-5, max_iter=4000)
+    want = minimize_dm(spec, 2, starts=[np.stack(rows)], **kw)
+    got = minimize_dm(spec, 2, starts=[[Field(GRID, row) for row in rows]], **kw)
+    assert got.restarts == want.restarts and got.energy == want.energy
+    # a lone field is the one-row stack of rank 1
+    one = minimize_dm(spec, 1, starts=[Field(GRID, rows[0])], **kw)
+    assert one.restarts == minimize_dm(spec, 1, starts=[rows[0][None]], **kw).restarts
+    with pytest.raises(InvalidState, match="shape"):
+        minimize_dm(spec, 2, starts=[Field(GRID, rows[0])])
+    other = Grid((6.0, 6.0), GRID.shape)
+    with pytest.raises(ValueError, match="different grids"):
+        minimize_dm(spec, 2, starts=[[Field(GRID, rows[0]), Field(other, rows[1])]])
+
+
 def test_dm_solve_does_not_depend_on_numpy_blas_threads():
     # a 2x72^2 stack is above the 10^4 elements where OpenBLAS threads
     # numpy's vdot and norm, which changes their bits

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rotbec.lattice
+import rotbec.model
 from rotbec.dm import minimize_dm
 from rotbec.errors import NoConvergence, NotNormalized, Unstable
 from rotbec.gp import (
@@ -415,6 +417,106 @@ def test_restarts_restore_blas_threads(monkeypatch, blas_counts, case, cpus):
     assert blas_counts() == before
 
 
+LARGE = Grid((6.0, 6.0), (512, 256))  # THREADED_SIZE points: the phases are cut
+
+
+def _descents_with_cpus(monkeypatch, cpus, solve):
+    """(psi, residual, applications) of every descent of ``solve`` with
+    ``cpus`` usable CPUs, and the most slabs any operation was cut into."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    runs, cuts = [], [1]
+    descend, bounds = _Flow.descend, rotbec.lattice.Slabs.bounds
+
+    def logged(self, psi0, tol, max_iter):
+        psi, res, iters, _ = out = descend(self, psi0, tol, max_iter)
+        runs.append((psi, res, iters))
+        return out
+
+    def counted(self, like):
+        out = bounds(self, like)
+        cuts.append(len(out))
+        return out
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_Flow, "descend", logged)
+        patched.setattr(rotbec.lattice.Slabs, "bounds", counted)
+        with pytest.raises(NoConvergence):  # the tolerance is out of reach
+            solve()
+    return runs, max(cuts)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: minimize_gp_family(harmonic_spec(20.0, 0.7, LARGE), tol=1e-30, max_iter=10,
+                               starts=[vortex_seed(LARGE, 1)]),
+    lambda: minimize_dm(harmonic_spec(20.0, 0.7, Grid((6.0, 6.0), (256, 256))), 2,
+                        tol=1e-30, max_iter=10, restarts=0),
+], ids=["rotating-512x256", "dm-2x256x256"])
+def test_slab_operations_change_no_bit(monkeypatch, solve):
+    # a fixed budget of applications, cut over 1, 2 and 3 CPUs (3 cuts the
+    # axis unevenly); the stack's density sums are cut too
+    (want, one), *others = [_descents_with_cpus(monkeypatch, cpus, solve) for cpus in (1, 2, 3)]
+    assert one == 1 and [cuts for _, cuts in others] == [2, 3]
+    for runs, _ in others:
+        assert len(runs) == len(want) >= 1
+        for (psi, res, iters), (psi1, res1, iters1) in zip(runs, want):
+            assert res == res1 and iters == iters1 == 10
+            assert psi.tobytes() == psi1.tobytes()
+
+
+@pytest.mark.parametrize("shape, cpus, limit, slabs", [
+    (LARGE.shape, 2, None, 2),          # a field of THREADED_SIZE points
+    ((2, 256, 256), 3, None, 3),        # a stack of THREADED_SIZE elements
+    ((2, 128, 256), 2, None, 1),        # a stack below the size rule
+    (LARGE.shape, 3, 1, 1),             # under limit_threads(1)
+], ids=["field", "stack", "small-stack", "limited"])
+def test_descents_cut_large_starts_over_the_thread_budget(monkeypatch, shape, cpus, limit,
+                                                          slabs):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(rotbec.lattice, "_THREAD_BUDGET", None)
+    if limit:
+        rotbec.lattice.limit_threads(limit)
+    seen = []
+
+    def descend(self, psi0, tol, max_iter):
+        seen.append(self.slabs.count)
+        return psi0, 0.0, 1, True
+
+    monkeypatch.setattr(_Flow, "descend", descend)
+    grid = Grid((6.0, 6.0), shape[-2:])
+    flow = _Flow(harmonic_spec(grid=grid))
+    flow.descend_all([("given", np.zeros(shape, complex))] * 2, 1e-8, 10)
+    assert seen == [slabs] * 2
+    assert flow.slabs.count == 1  # inline again after the call
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_failing_slab_operation_propagates_and_joins_the_threads(monkeypatch, where):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    caller = threading.get_ident()
+    add_rotation = rotbec.model.H0Action.add_rotation
+    calls, ran = [], set()
+
+    def phase(cut):
+        on_caller = threading.get_ident() == caller
+        ran.add(on_caller)
+        if on_caller == (where == "caller"):
+            raise RuntimeError(f"slab fails on the {where}")
+
+    def failing(self, out, derivatives, slabs):
+        calls.append(None)
+        if len(calls) > 3:  # mid-descent
+            slabs.run(out, phase)
+        return add_rotation(self, out, derivatives, slabs)
+
+    monkeypatch.setattr(rotbec.model.H0Action, "add_rotation", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match=f"fails on the {where}"):
+        minimize_gp_family(harmonic_spec(20.0, 0.7, LARGE), tol=1e-8, max_iter=50,
+                           starts=[vortex_seed(LARGE, 1)])
+    assert ran == {True, False}  # both slabs ran to the end
+    assert set(threading.enumerate()) == before  # the slab thread is joined
+
+
 def test_restart_records_follow_start_order(monkeypatch):
     spec = harmonic_spec(2.0, 0.5)
     starts = _starting_fields(spec.grid, 2, 3)
@@ -460,6 +562,19 @@ def test_explicit_starts_checked_before_descent(monkeypatch):
     with pytest.raises(ValueError, match="empty"):
         minimize_gp_family(spec, starts=[])
     assert log == []
+
+
+def test_field_starts_descend_like_their_arrays():
+    spec = harmonic_spec(2.0)
+    start = vortex_seed(GRID2, 1)
+    kw = dict(tol=1e-7, max_iter=3000)
+    from_field = minimize_gp_family(spec, starts=[Field(GRID2, start)], **kw)
+    from_array = minimize_gp_family(spec, starts=[start], **kw)
+    assert from_field[0].restarts == from_array[0].restarts
+    assert np.array_equal(from_field[0].phi.values, from_array[0].phi.values)
+    other = Grid((6.0, 6.0), GRID2.shape)  # same shape, other box
+    with pytest.raises(ValueError, match="different grids"):
+        minimize_gp_family(spec, starts=[Field(other, start)], **kw)
 
 
 @pytest.mark.parametrize("max_iter", [5, 15, 37, 100])

@@ -2,15 +2,20 @@ import glob
 import importlib
 import math
 import os
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rotbec.lattice
 from rotbec.lattice import (
     THREADED_SIZE,
     Field,
+    Slabs,
     atomic_open,
     Grid,
     fftn,
@@ -221,6 +226,85 @@ def test_limit_threads_holds_large_transforms_and_budget(monkeypatch):
     fftn(a)
     assert seen == [3, 1]
     assert thread_budget() == 1
+
+
+@given(st.sampled_from([2, 3]), st.integers(1, 5), st.integers(8, 300), st.integers(8, 40),
+       st.sampled_from([0, 1, 3]))
+def test_slabs_cover_the_first_axis_once(dim, count, n0, n1, rows):
+    shape = ((rows,) if rows else ()) + (n0,) + (n1,) * (dim - 1)
+    like = np.broadcast_to(np.zeros((), complex), shape)  # no memory behind it
+    slabs = Slabs(dim, count).bounds(like)
+    assert [i for part in slabs for i in range(n0)[part]] == list(range(n0))
+    assert len(slabs) == min(count, n0)
+    sizes = [s.stop - s.start for s in slabs]
+    assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("dim, shape", [
+    (3, (66, 66, 66)),    # a field cut unevenly: 16, 17, 16, 17 planes
+    (2, (2, 258, 258)),   # a stack, cut along its grid's first axis
+])
+def test_slab_cuts_change_no_bit_of_the_descent_ufuncs(dim, shape):
+    rng = np.random.default_rng(5)
+    grid_shape = shape[-dim:]
+    operands = dict(
+        a=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        b=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        r=rng.standard_normal(grid_shape),
+        along=rng.standard_normal(grid_shape[:1] + (1,) * (dim - 1)),  # cut with the slab
+        across=1j * rng.standard_normal((1,) + grid_shape[1:]),        # goes whole
+    )
+
+    def rowsum(x):
+        return x.sum(axis=0) if x.ndim > dim else x
+
+    ops = [lambda v: v.a * v.b, lambda v: v.r * v.b, lambda v: 0.3 * v.b,
+           lambda v: (v.r - 0.7) * v.b, lambda v: v.a + v.b, lambda v: v.a - v.b,
+           lambda v: -v.a, lambda v: np.conj(v.a) * v.b, lambda v: v.a.real**2 + v.a.imag**2,
+           lambda v: 1.0 / (2.0 + v.r) * v.b, lambda v: v.along * v.a + v.across * v.b,
+           lambda v: rowsum((np.conj(v.a) * v.b).real) * v.a]
+    with Slabs(dim, 4) as slabs:
+        for op in ops:
+            want = op(SimpleNamespace(**operands))
+            got = np.empty_like(want)
+
+            def phase(cut):
+                cut(got)[...] = op(SimpleNamespace(**{k: cut(x) for k, x in operands.items()}))
+            slabs.run(got, phase)
+            assert got.tobytes() == want.tobytes()  # signed zeros included
+        # a ufunc call through the slabs allocates its result like numpy
+        for ufunc, args in [(np.multiply, ("r", "b")), (np.add, ("a", "across")),
+                            (np.square, ("r",)), (np.divide, ("b", "along"))]:
+            got = slabs(ufunc, *(operands[k] for k in args))
+            want = ufunc(*(operands[k] for k in args))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fails", ["caller", "worker"])
+def test_slab_error_waits_for_every_slab(fails):
+    caller = threading.get_ident()
+    finished = []
+
+    def phase(cut):
+        on_caller = threading.get_ident() == caller
+        if on_caller == (fails == "caller"):
+            raise RuntimeError("slab fails")
+        time.sleep(0.05)  # the other slab is still running when the error is raised
+        finished.append(cut(np.arange(8))[0])
+
+    with Slabs(1, 2) as slabs:
+        with pytest.raises(RuntimeError, match="slab fails"):
+            slabs.run(np.zeros(8), phase)
+        assert finished == [0 if fails == "worker" else 4]
+
+
+def test_slab_threads_live_while_entered():
+    before = set(threading.enumerate())
+    with Slabs(2, 3) as slabs:
+        assert len(set(threading.enumerate()) - before) == 2
+        a = np.ones((8, 8))
+        assert slabs(np.add, a, a, out=a) is a and np.all(a == 2.0)
+    assert set(threading.enumerate()) == before
 
 
 @pytest.mark.parametrize("copy", ["numpy", "scipy"])
