@@ -69,6 +69,24 @@ def _integer(value):
     return int(value)
 
 
+def _positive(value):
+    """A finite JSON number above 0."""
+    number = _real(value)
+    if number <= 0:
+        raise ValueError(f"expected a positive number, got {value!r}")
+    return number
+
+
+def _at_least(low):
+    """A reader for an integer (see ``_integer``) of at least ``low``."""
+    def read_at_least(value):
+        number = _integer(value)
+        if number < low:
+            raise ValueError(f"expected an integer of at least {low}, got {value!r}")
+        return number
+    return read_at_least
+
+
 def _flag(value):
     """JSON true or false."""
     if not isinstance(value, bool):
@@ -145,8 +163,8 @@ _SCHEMA = {
     "model": {"dim": (_integer, None), "half_width": (_one_or_list(_real), None),
               "points": (_one_or_list(_integer), None), "trap": (_kind(_TRAPS), None),
               "omega": (_one_or_list(_real), None), "g": (_real, None)},
-    "solver": {"tol": (_real, 1e-8), "max_iter": (_integer, 200000),
-               "restarts": (_integer, 4), "seed": (_integer, 0)},
+    "solver": {"tol": (_positive, 1e-8), "max_iter": (_at_least(1), 200000),
+               "restarts": (_at_least(0), 4), "seed": (_at_least(0), 0)},
     "sweep": {"parameter": (_string, None), "values": (_list(_real), None)},
     "outputs": {"directory": (_string, "."), "emit_fields": (_flag, False),
                 "emit_images": (_flag, False)},

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InvalidState, NoConvergence
-from .gp import _Flow, _given_starts, gaussian_envelope, state_terms, vortex_seed
+from .gp import _given_starts, descend_all, gaussian_envelope, state_terms, vortex_seed
 from .lattice import Field
 from .model import on_grid
 
@@ -175,13 +175,15 @@ def _extract_state(spec, stack):
     return lam, block
 
 
-def _dm_starts(grid, n, restarts, seed, seed_fields):
+def _dm_starts(spec, n, restarts, seed, seed_fields):
+    grid = spec.grid
     rng = np.random.default_rng(seed)
     starts = []
     env = gaussian_envelope(grid)
     if seed_fields:
-        base = [np.asarray(f.values if isinstance(f, Field) else f, dtype=complex)
-                for f in seed_fields[:n]]
+        # each seed is read like one start field: on the spec's grid, grid-shaped
+        base = [np.asarray(f, dtype=complex)
+                for _, f in _given_starts(spec, seed_fields[:n], (), InvalidState)]
         while len(base) < n:
             # small noise so the flow can grow rank away from the seed
             noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
@@ -198,19 +200,19 @@ def minimize_dm(spec, n, tol=1e-7, max_iter=40000, restarts=2, seed=0,
                 seed_fields=None, starts=None):
     """Best rank-n minimizer over restarts; returns a DMResult.
 
-    ``seed_fields`` (optional) is a list of fields used to build the first
-    restart, e.g. a GP minimizer to guarantee E_DM <= E_GP, or the
-    orbitals of a lower-rank solution.  ``starts`` replaces the whole
-    start list with explicit (n,)+grid stacks, each an array or a
-    sequence of n fields.  ``restarts`` of the result lists every start,
-    converged or not.
+    ``seed_fields`` (optional) is a list of fields or grid-shaped arrays
+    used to build the first restart, e.g. a GP minimizer to guarantee
+    E_DM <= E_GP, or the orbitals of a lower-rank solution; they are checked
+    like the rows of ``starts``.  ``starts`` replaces the whole start list
+    with explicit (n,)+grid stacks, each an array or a sequence of n
+    fields.  ``restarts`` of the result lists every start, converged or not.
     """
     check_rank(n)
     if starts is None:
-        starts = _dm_starts(spec.grid, n, restarts, seed, seed_fields)
+        starts = _dm_starts(spec, n, restarts, seed, seed_fields)
     else:
         starts = _given_starts(spec, starts, (n,), InvalidState)
-    stacks, records = _Flow(spec).descend_all(starts, tol, max_iter)
+    stacks, records = descend_all(spec, starts, tol, max_iter)
     best = None
     for stack, rec in zip(stacks, records):
         if not rec.ok:

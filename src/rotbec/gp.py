@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import NoConvergence, NotNormalized
-from .lattice import THREADED_SIZE, Field, Slabs, blas_threads, fftn, ifftn, thread_budget
+from .lattice import INLINE, Field, Slabs, blas_threads, fftn, ifftn, thread_budget, threads_for
 from .model import on_grid
 
 _NORM_TOL = 1e-8
@@ -129,24 +129,23 @@ class _Flow:
     sum over the leading axis, and only when there is one.
 
     Every elementwise operation of a descent goes through ``slabs``
-    (``lattice.Slabs``): during ``descend_all`` on a start of at least
-    THREADED_SIZE elements it is cut along the grid's first axis over the
-    thread budget, the same size rule that gives transforms their threads.
-    The operations allocate and reuse arrays as numpy does for the plain
-    expression on large arrays (``x + a * d`` is ``t = a * d; t += x``), so
-    the heap, and with it peak memory, stays as it was.  Every reduction
-    (the energies, ``_dot``, norms, the projection's coefficient) is made
-    whole on the calling thread, since a split sum rounds differently; so
-    no bit depends on the thread count.
+    (``lattice.Slabs``, fixed for the flow's life; ``descend_all`` picks
+    them), which may cut it along the grid's first axis.  The operations
+    allocate and reuse arrays as numpy does for the plain expression on
+    large arrays (``x + a * d`` is ``t = a * d; t += x``), so the heap, and
+    with it peak memory, stays as it was.  Every reduction (the energies,
+    ``_dot``, norms, the projection's coefficient) is made whole on the
+    calling thread, since a split sum rounds differently; so no bit depends
+    on the slab count.
     """
 
-    def __init__(self, spec):
+    def __init__(self, spec, slabs=INLINE):
         self.action = spec.h0
         self.dim = spec.grid.dim
         self.dV = spec.grid.cell_volume
         self.weight = self.dV / math.prod(spec.grid.shape)  # Parseval: dV / N
         self.coeff = 8.0 * math.pi * spec.g
-        self.slabs = self.action.slabs  # one slab, inline, outside descend_all
+        self.slabs = slabs
 
     def _rowsum(self, a):
         if a.ndim == self.dim:
@@ -358,41 +357,38 @@ class _Flow:
             st = best
         return st.psi, st.resnorm, iters, st.resnorm <= tol
 
-    def descend_all(self, starts, tol, max_iter):
-        """``descend`` on every (kind, array) start: (arrays, Restart records).
 
-        Both come back in start order.  numpy's OpenBLAS is held at one
-        thread throughout, so no bit depends on the thread count and large
-        transforms get the cores.  Single fields on grids below
-        THREADED_SIZE points run side by side on the thread budget.  Stacks
-        and larger grids run one after another; when a start has at least
-        THREADED_SIZE elements, the size rule of the transforms, the budget
-        also cuts every elementwise operation of its descent into slabs
-        (``lattice.Slabs``): slab 0 on this thread, the others on threads
-        started for the call.  Raises NoConvergence when no start converges.
-        """
+def descend_all(spec, starts, tol, max_iter):
+    """``_Flow.descend`` on every (kind, array) start: (arrays, Restart records).
+
+    The one place that spends the cores on descents, by ``threads_for`` the
+    first start's size.  With one thread, single fields run side by side on
+    the thread budget and stacks run inline; with more, the starts run one
+    after another, each elementwise operation cut into that many slabs
+    (``lattice.Slabs``: slab 0 on this thread, the others on threads started
+    for the call).  numpy's OpenBLAS is held at one thread throughout, so no
+    bit depends on the thread count.  Both lists come back in start order.
+    Raises NoConvergence when no start converges.
+    """
+    first = starts[0][1]
+    threads = threads_for(first.size)
+    with blas_threads("numpy", 1), Slabs(spec.grid.dim, threads) as slabs:
+        flow = _Flow(spec, slabs)
+
         def descend(start):
-            return self.descend(start[1], tol, max_iter)
+            return flow.descend(start[1], tol, max_iter)
 
-        side_by_side = (starts[0][1].ndim == self.dim
-                        and math.prod(self.action.grid.shape) < THREADED_SIZE)
-        with blas_threads("numpy", 1):
-            if side_by_side:
-                with ThreadPoolExecutor(min(thread_budget(), len(starts))) as pool:
-                    runs = list(pool.map(descend, starts))
-            else:
-                large = starts[0][1].size >= THREADED_SIZE
-                with Slabs(self.dim, thread_budget() if large else 1) as self.slabs:
-                    try:
-                        runs = [descend(start) for start in starts]
-                    finally:
-                        self.slabs = self.action.slabs
-        records = tuple(Restart(kind, iters, ok, res)
-                        for (kind, _), (_, res, iters, ok) in zip(starts, runs))
-        if not any(r.ok for r in records):
-            raise NoConvergence(f"none of {len(records)} restarts reached residual {tol!r} "
-                                f"within {max_iter} iterations", iterations=max_iter)
-        return [run[0] for run in runs], records
+        if threads == 1 and first.ndim == spec.grid.dim:
+            with ThreadPoolExecutor(min(thread_budget(), len(starts))) as pool:
+                runs = list(pool.map(descend, starts))
+        else:
+            runs = [descend(start) for start in starts]
+    records = tuple(Restart(kind, iters, ok, res)
+                    for (kind, _), (_, res, iters, ok) in zip(starts, runs))
+    if not any(r.ok for r in records):
+        raise NoConvergence(f"none of {len(records)} restarts reached residual {tol!r} "
+                            f"within {max_iter} iterations", iterations=max_iter)
+    return [run[0] for run in runs], records
 
 
 def _given_starts(spec, starts, rows, error):
@@ -442,15 +438,14 @@ def minimize_gp_family(spec, tol=1e-8, max_iter=200000, restarts=4, seed=0,
     """All converged restarts sorted by energy (best first).
 
     Each result's ``restarts`` lists every start, converged or not.
-    ``starts`` (arrays or fields) replaces the vortex and noise starts.  On
-    grids below ``lattice.THREADED_SIZE`` points the restarts run side by
-    side (``_Flow.descend_all``); the results do not depend on that.
+    ``starts`` (arrays or fields) replaces the vortex and noise starts.
+    ``descend_all`` runs the restarts; no result depends on its threads.
     """
     if starts is None:
         starts = _starting_fields(spec.grid, restarts, seed)
     else:
         starts = _given_starts(spec, starts, (), ValueError)
-    fields, records = _Flow(spec).descend_all(starts, tol, max_iter)
+    fields, records = descend_all(spec, starts, tol, max_iter)
     results = []
     for psi, rec in zip(fields, records):
         if not rec.ok:

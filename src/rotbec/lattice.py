@@ -24,21 +24,19 @@ from functools import cache, cached_property
 import numpy as np
 from scipy import fft as _fft
 
-# Thread policy: one size rule.  A transform, or an elementwise phase of a
-# descent (``Slabs``), on fewer than THREADED_SIZE elements runs on one
-# thread (at 96^2 a second thread gains nothing); the cores go instead to
-# whole solver restarts running side by side (gp.py).  Larger ones get
-# thread_budget() threads, which every descent leaves free by holding
-# numpy's OpenBLAS at one thread.  scipy.fft and elementwise ufuncs give the
-# same bits for any thread count; reductions (sums, dots, norms) do not, so
-# they stay whole, on the calling thread.
+# Thread policy: one size rule, ``threads_for``.  Work on fewer than
+# THREADED_SIZE elements gets one thread (at 96^2 a second gains nothing);
+# larger work gets thread_budget() threads.  Transforms take it per call,
+# ``gp.descend_all`` once per batch of descents.  scipy.fft and elementwise
+# ufuncs give the same bits for any thread count; reductions (sums, dots,
+# norms) do not, so they stay whole, on the calling thread.
 THREADED_SIZE = 1 << 17
 _THREAD_BUDGET = None  # threads this process may keep busy; None = usable CPUs
 
 
 def fftn(values, dim=None):
     """Forward transform of the trailing ``dim`` axes (default: all axes)."""
-    return _fft.fftn(values, axes=_stack_axes(values, dim), workers=_workers(values))
+    return _fft.fftn(values, axes=_stack_axes(values, dim), workers=threads_for(values.size))
 
 
 def ifftn(values, dim=None):
@@ -47,17 +45,18 @@ def ifftn(values, dim=None):
     ``values`` is scratch the caller gives up: a complex array comes back
     transformed in its own memory.
     """
-    return _fft.ifftn(values, axes=_stack_axes(values, dim), workers=_workers(values),
+    return _fft.ifftn(values, axes=_stack_axes(values, dim), workers=threads_for(values.size),
                       overwrite_x=True)
 
 
-def _workers(values):
-    return 1 if values.size < THREADED_SIZE else thread_budget()
+def threads_for(size):
+    """Threads for work on ``size`` elements: 1 below THREADED_SIZE, else the budget."""
+    return 1 if size < THREADED_SIZE else thread_budget()
 
 
 def thread_budget():
     """Threads this process may keep busy: its usable CPUs unless limited."""
-    if _THREAD_BUDGET:
+    if _THREAD_BUDGET is not None:
         return _THREAD_BUDGET
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -69,8 +68,11 @@ def limit_threads(n):
 
     For pool workers, so that k processes do not each start one thread per
     core.  BLAS keeps its own setting outside ``blas_threads`` regions.
+    Raises ValueError for n < 1.
     """
     global _THREAD_BUDGET
+    if n < 1:
+        raise ValueError(f"a thread budget must be at least 1, got {n}")
     _THREAD_BUDGET = n
 
 
@@ -177,6 +179,9 @@ class Slabs:
         def cut(a):
             return a[index] if getattr(a, "ndim", 0) >= dim and a.shape[-dim] != 1 else a
         return cut
+
+
+INLINE = Slabs(1)  # one slab: every call is the plain numpy call, on the calling thread
 
 
 # The wheels bundle two OpenBLAS copies, each with its own thread count:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .errors import NoConvergence, Unstable
-from .lattice import Field, Slabs, blas_threads, fftn, ifftn
+from .lattice import INLINE, Field, blas_threads, fftn, ifftn
 
 
 def per_axis(values, dim, what):
@@ -253,33 +253,30 @@ class H0Action:
                               if np.any(c))
         # i c per rotating derivative: -Omega.L x = sum_a i c_a dx/dx_a
         self.rotation_factors = tuple(1j * c for _, c in self.rotating)
-        self.slabs = Slabs(grid.dim)  # one slab, inline: callers outside a descent
 
-    def apply(self, values, slabs=None):
+    def apply(self, values, slabs=INLINE):
         """H0 on a field or on a stack of fields shaped (m,) + grid.shape.
 
-        ``slabs`` (default: one, inline) runs the elementwise work.
+        ``slabs`` (``lattice.Slabs``) runs the elementwise work.
         """
-        op = slabs or self.slabs
         out, *derivatives = self.inverse(fftn(values, self.grid.dim), self.k2,
-                                         slabs=op)  # -Delta, d/dx_a
-        op(np.add, out, op(np.multiply, self.V, values), out=out)
-        return self.add_rotation(out, derivatives, op)
+                                         slabs=slabs)  # -Delta, d/dx_a
+        slabs(np.add, out, slabs(np.multiply, self.V, values), out=out)
+        return self.add_rotation(out, derivatives, slabs)
 
-    def inverse(self, spectrum, *scales, slabs=None):
+    def inverse(self, spectrum, *scales, slabs=INLINE):
         """One batched inverse transform of a field's (or stack's) ``spectrum``.
 
         Returns the rows scale * spectrum, one per given scale (k2 gives
         -Delta of the field, 1.0 the field itself), then the derivatives
         along the rotating axes, for ``add_rotation``, all in real space and
-        in that order.  The spectrum is left as it is.  ``slabs`` (default:
-        one, inline) makes the products.
+        in that order.  The spectrum is left as it is.  ``slabs`` makes the
+        products.
         """
-        op = slabs or self.slabs
         factors = scales + tuple(self.ik[axis] for axis, _ in self.rotating)
         rows = np.empty((len(factors),) + spectrum.shape, dtype=complex)
         for row, factor in zip(rows, factors):
-            op(np.multiply, factor, spectrum, out=row)
+            slabs(np.multiply, factor, spectrum, out=row)
         return ifftn(rows, self.grid.dim)
 
     def add_rotation(self, out, derivatives, slabs):

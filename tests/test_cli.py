@@ -110,6 +110,12 @@ _SOFT_SHELL = {"kind": "soft_shell", "r_inner": 0.5, "r_outer": 1.0}
     ("gp-min", {"model": {"trap": {"kind": "quartic", "nu": 1.0, "lambda": "0.1"}}}),
     ("gp-min", {"solver": {"tol": "1e-8"}}),
     ("gp-min", {"solver": {"tol": math.nan}}),
+    ("gp-min", {"solver": {"tol": 0.0}}),
+    ("gp-min", {"solver": {"tol": -1.0}}),
+    ("gp-min", {"solver": {"max_iter": 0}}),
+    ("gp-min", {"solver": {"max_iter": -5}}),
+    ("gp-min", {"solver": {"restarts": -2}}),
+    ("gp-min", {"solver": {"seed": -1}}),
     ("sweep", {"sweep": {"parameter": "g", "values": [True]}}),
     ("fock", {"model": _HARMONIC_16, "fock": {"modes": 2, "g": "0.5", "n_values": [2]}}),
     ("coherent", {"coherent": {"z": ["1", "1"]}}),
@@ -132,7 +138,9 @@ _SOFT_SHELL = {"kind": "soft_shell", "r_inner": 0.5, "r_outer": 1.0}
         "seed-nan", "dim-fraction", "points-fraction", "fock-N-fraction", "coherent-n-max-true",
         "square-well-scale-underflow", "gaussian-scale-overflow", "soft-shell-scale-underflow",
         "g-true", "g-infinite", "half-width-true", "omega-string", "omega-nan", "nu-true",
-        "lambda-string", "tol-string", "tol-nan", "sweep-value-true", "fock-g-string",
+        "lambda-string", "tol-string", "tol-nan", "tol-zero", "tol-negative", "max-iter-zero",
+        "max-iter-negative", "restarts-negative", "seed-negative", "sweep-value-true",
+        "fock-g-string",
         "coherent-z-strings", "coherent-z-three-entries", "quad-radius-string",
         "potential-radius-string", "scale-string", "scales-null", "born-a-true",
         "dim-3-two-entry-lists", "dim-2-three-entry-lists"])

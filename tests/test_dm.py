@@ -207,6 +207,20 @@ def test_dm_explicit_starts_checked_before_descent(monkeypatch):
     assert log == []
 
 
+def test_dm_seed_fields_checked_before_descent(monkeypatch):
+    # seed fields follow the rule of starts=: the spec's grid, the grid's shape
+    descend, log = logged_descend()
+    monkeypatch.setattr(_Flow, "descend", descend)
+    grid = Grid((6.0, 6.0), (24, 24))
+    spec = harmonic_spec(g=5.0, grid=grid)
+    other = Grid((5.0, 5.0), grid.shape)  # same shape, other box
+    with pytest.raises(ValueError, match="different grids"):
+        minimize_dm(spec, 2, seed_fields=[Field(other, vortex_seed(other, 0))])
+    with pytest.raises(InvalidState, match="shape"):
+        minimize_dm(spec, 2, seed_fields=[np.ones((20, 20), complex)])
+    assert log == []
+
+
 def test_dm_takes_field_starts():
     spec = harmonic_spec(g=5.0)
     rows = [vortex_seed(GRID, q) for q in range(2)]

@@ -20,6 +20,7 @@ from rotbec.gp import (
     _Flow,
     _starting_fields,
     chemical_potential,
+    descend_all,
     gp_energy,
     gp_gradient,
     minimize_gp,
@@ -463,30 +464,39 @@ def test_slab_operations_change_no_bit(monkeypatch, solve):
             assert psi.tobytes() == psi1.tobytes()
 
 
-@pytest.mark.parametrize("shape, cpus, limit, slabs", [
-    (LARGE.shape, 2, None, 2),          # a field of THREADED_SIZE points
-    ((2, 256, 256), 3, None, 3),        # a stack of THREADED_SIZE elements
-    ((2, 128, 256), 2, None, 1),        # a stack below the size rule
-    (LARGE.shape, 3, 1, 1),             # under limit_threads(1)
-], ids=["field", "stack", "small-stack", "limited"])
+@pytest.mark.parametrize("shape, cpus, limit, slabs, pool", [
+    (LARGE.shape, 2, None, 2, 0),       # a field of THREADED_SIZE points
+    ((2, 256, 256), 3, None, 3, 0),     # a stack of THREADED_SIZE elements
+    ((2, 128, 256), 2, None, 1, 0),     # a stack below the size rule
+    (LARGE.shape, 3, 1, 1, 1),          # under limit_threads(1): a one-thread pool
+    ((128, 256), 2, None, 1, 2),        # small fields side by side
+    ((128, 256), 1, None, 1, 1),        # ... on the one usable CPU
+], ids=["field", "stack", "small-stack", "limited", "small-fields", "small-fields-1cpu"])
 def test_descents_cut_large_starts_over_the_thread_budget(monkeypatch, shape, cpus, limit,
-                                                          slabs):
+                                                          slabs, pool):
+    # the execution rule of descend_all: ``slabs`` per operation, and the
+    # number of pool threads the starts run on (0: one after another, inline)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(rotbec.lattice, "_THREAD_BUDGET", None)
     if limit:
         rotbec.lattice.limit_threads(limit)
+    together = threading.Barrier(max(pool, 1), timeout=10)  # side by side: both at once
     seen = []
 
     def descend(self, psi0, tol, max_iter):
-        seen.append(self.slabs.count)
+        seen.append((self.slabs.count, threading.get_ident()))
+        together.wait()
         return psi0, 0.0, 1, True
 
     monkeypatch.setattr(_Flow, "descend", descend)
     grid = Grid((6.0, 6.0), shape[-2:])
-    flow = _Flow(harmonic_spec(grid=grid))
-    flow.descend_all([("given", np.zeros(shape, complex))] * 2, 1e-8, 10)
-    assert seen == [slabs] * 2
-    assert flow.slabs.count == 1  # inline again after the call
+    descend_all(harmonic_spec(grid=grid), [("given", np.zeros(shape, complex))] * 2, 1e-8, 10)
+    assert [count for count, _ in seen] == [slabs] * 2
+    threads = {ident for _, ident in seen}
+    if pool:
+        assert len(threads) == pool and threading.get_ident() not in threads
+    else:
+        assert threads == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("where", ["worker", "caller"])

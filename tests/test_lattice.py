@@ -228,6 +228,15 @@ def test_limit_threads_holds_large_transforms_and_budget(monkeypatch):
     assert thread_budget() == 1
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_limit_threads_refuses_a_budget_below_one(monkeypatch, n):
+    monkeypatch.setattr(rotbec.lattice, "_THREAD_BUDGET", None)  # restored afterwards
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(ValueError, match="at least 1"):
+        limit_threads(n)
+    assert thread_budget() == 2
+
+
 @given(st.sampled_from([2, 3]), st.integers(1, 5), st.integers(8, 300), st.integers(8, 40),
        st.sampled_from([0, 1, 3]))
 def test_slabs_cover_the_first_axis_once(dim, count, n0, n1, rows):
