@@ -1,4 +1,9 @@
-"""Solvers and diagnostics for ground states of rotating dilute Bose gases."""
+"""Solvers and diagnostics for ground states of rotating dilute Bose gases.
+
+Import rule: at module level the package imports numpy, scipy.fft and
+scipy.special (which scipy.fft loads anyway); scipy's solver subpackages
+(sparse, optimize, integrate) are imported inside the functions that call them.
+"""
 
 from .lattice import (
     Field,

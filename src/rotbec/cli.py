@@ -77,6 +77,14 @@ def _positive(value):
     return number
 
 
+def _nonnegative(value):
+    """A finite JSON number of at least 0."""
+    number = _real(value)
+    if number < 0:
+        raise ValueError(f"expected a nonnegative number, got {value!r}")
+    return number
+
+
 def _at_least(low):
     """A reader for an integer (see ``_integer``) of at least ``low``."""
     def read_at_least(value):
@@ -176,7 +184,7 @@ _SCHEMA = {
                  "quad_radius": (_real, 8.0), "n_max": (_integer, 8),
                  "radial_points": (_integer, 128), "angular_points": (_integer, 256)},
     "scatter": {"potential": (_kind(_POTENTIALS), None), "scales": (_list(_real), ()),
-                "born_a_values": (_list(_real), ())},
+                "born_a_values": (_list(_nonnegative), ())},
 }
 
 

@@ -11,7 +11,6 @@ is J0(|k| r)), so radially symmetric densities score at rounding level.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 from scipy.special import j0
 
 from .errors import NotAxisymmetricTrap
@@ -158,6 +157,8 @@ def minimizer_family_analysis(results, energy_tol=1e-6, distance_tol=1e-3):
     """
     if not results:
         return SymmetryReport(0, [])
+    from scipy.sparse.csgraph import connected_components
+
     best = min(r.energy for r in results)
     members = [r for r in results if r.energy <= best + energy_tol]
     n = len(members)

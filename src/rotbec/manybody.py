@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DimensionTooLarge, InvalidState, NoConvergence
 from .lattice import blas_threads, fftn, ifftn
@@ -27,6 +24,11 @@ _BASIS_CAP = 100_000
 _PRODUCT_CAP = 10_000  # largest M^N for the unrestricted ground state
 _DENSE_MAX = 400  # largest eigenproblem solved densely
 _RESIDUAL_TOL = 1e-8
+# coherent_state_checks: the largest truncation D and span n_max + 1 (a D = 4096
+# check holds three 268 MB D x D matrices), and the largest quadrature array,
+# (n_max + 1) x radial_points x angular_points entries (about 48 bytes each at peak)
+_FOCK_DIM_CAP = 4096
+_QUADRATURE_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,8 @@ def _ladder(index, create, annihilate):
 
 def assemble_hamiltonian(problem):
     """Sparse H in the fixed-N occupation basis."""
+    from scipy import sparse
+
     M, N = problem.M, problem.N
     states = occupation_basis(M, N)
     dim = len(states)
@@ -159,6 +163,8 @@ def _lowest_eigenpair(H):
     if dim <= _DENSE_MAX:
         vals, vecs = np.linalg.eigh(H @ np.eye(dim, dtype=complex))
     else:
+        from scipy.sparse.linalg import eigsh
+
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         with blas_threads("scipy", 1):  # ARPACK's bits then match on any core count
@@ -205,6 +211,8 @@ def ground_state_absolute(problem):
     dim = M**N
     if dim > _PRODUCT_CAP:
         raise DimensionTooLarge(f"M^N = {dim} exceeds {_PRODUCT_CAP}")
+    from scipy.sparse.linalg import LinearOperator
+
     e = np.asarray(problem.e)
     V = problem.W.reshape(M * M, M * M)
     pairs = list(itertools.combinations(range(N), 2))
@@ -237,6 +245,8 @@ def unit_scattering_gaussian(width=1.0):
     for widths around 1 it exists because a grows monotonically from 0
     with amplitude.
     """
+    from scipy.optimize import brentq
+
     lo, hi = 1e-6, 4.0
 
     def f(amp):
@@ -498,12 +508,17 @@ def gp_limit_scan(spec, M, g, N_list, pair_kind="delta", with_absolute=False,
 
     ``pair_kind`` selects the interaction used to build W: "delta" for the
     contact surrogate of strength 8 pi a, or "gaussian" for the scaled
-    unit-scattering-length Gaussian.
+    unit-scattering-length Gaussian.  The gas is repulsive: g >= 0, and
+    g > 0 for the Gaussian, whose scaled potential needs a = g/N > 0.
     """
     if not 1 <= M <= 6 or any(N < 2 or N > 10 for N in N_list):
         raise InvalidState("the mode count must lie in [1, 6] and N values in [2, 10]")
     if pair_kind not in ("delta", "gaussian"):
         raise InvalidState(f"pair kind must be 'delta' or 'gaussian', got {pair_kind!r}")
+    if not g >= 0:
+        raise InvalidState(f"coupling g must be nonnegative, got {g!r}")
+    if pair_kind == "gaussian" and g == 0:
+        raise InvalidState("the Gaussian pair needs a positive coupling g")
     if modes is None:
         pairs = lowest_eigenpairs(spec, M)
     else:
@@ -576,6 +591,10 @@ def coherent_state_checks(D=64, z=1 + 1j, Z=8.0, n_max=8,
     |z><z| over |z| <= Z (measure dx dy / pi) is the identity on the span
     of the number states n <= n_max, (iv) the quadrature of
     (|z|^2 - 1)|z><z| reproduces a+a there.
+
+    A bad input raises ValueError before anything is allocated: D and
+    n_max + 1 are capped at ``_FOCK_DIM_CAP``, the quadrature array at
+    ``_QUADRATURE_CAP`` entries.
     """
     if D < 32:
         raise ValueError("truncation must be at least 32")
@@ -583,6 +602,11 @@ def coherent_state_checks(D=64, z=1 + 1j, Z=8.0, n_max=8,
         raise ValueError("test amplitude must satisfy |z| <= Z/4")
     if n_max < 0 or radial_points < 1 or angular_points < 1:
         raise ValueError("n_max must be >= 0 and the quadrature point counts >= 1")
+    if max(D, n_max + 1) > _FOCK_DIM_CAP:
+        raise ValueError(f"truncation and n_max + 1 must be at most {_FOCK_DIM_CAP}")
+    if (n_max + 1) * radial_points * angular_points > _QUADRATURE_CAP:
+        raise ValueError(f"(n_max + 1) x radial_points x angular_points must be at most "
+                         f"{_QUADRATURE_CAP}")
     a_mat = annihilation_matrix(D)
     v = coherent_vector(z, D)
     lower_a = np.vdot(v, a_mat @ v)

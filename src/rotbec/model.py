@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .errors import NoConvergence, Unstable
 from .lattice import INLINE, Field, blas_threads, fftn, ifftn
@@ -357,6 +356,8 @@ def lowest_eigenpairs(spec, m, residual_tol=1e-8, maxiter=800, seed=7):
     """
     if m < 1 or m > 16:
         raise ValueError("eigenpair count must be between 1 and 16")
+    from scipy.sparse.linalg import LinearOperator, lobpcg
+
     action = spec.h0
     grid = spec.grid
     size = int(np.prod(grid.points))

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import NoConvergence, NonFiniteScatteringLength
 
@@ -96,6 +95,8 @@ class SoftShell:
         if not 0.0 <= self.r_inner < self.r_outer:
             raise ValueError("need 0 <= r_inner < r_outer")
         if self.amplitude is None:
+            from scipy.integrate import quad
+
             norm = quad(lambda r: self._bump(r) * r * r, self.r_inner, self.r_outer,
                         epsabs=1e-14, epsrel=1e-13)[0]
             object.__setattr__(self, "amplitude", 1.0 / norm)
@@ -119,6 +120,8 @@ class SoftShell:
 
 def volume_integral(v, upper=None):
     """Full 3D integral of a radial potential, 4 pi int v(r) r^2 dr."""
+    from scipy.integrate import quad
+
     upper = v.range if upper is None else upper
     lower = v.radius if isinstance(v, HardSphere) else 0.0
     val = quad(lambda r: float(v.value(r)) * r * r, lower, upper,
@@ -148,6 +151,7 @@ def scattering_length(v, rtol=1e-12):
         return v.radius
     if isinstance(v, SquareWell):
         return _square_well_exact(v)
+    from scipy.integrate import solve_ivp
 
     def run(rt):
         r0 = 1e-8 * v.range
@@ -194,9 +198,12 @@ def _square_well_exact(v):
 def born_check(shell, a_list):
     """Scattering length of 2 a U versus its leading-order value a.
 
-    U must carry int U = 4 pi (checked); rows are (a, s(a), |s - a|/a).
-    The deviation shrinks at least linearly as a decreases.
+    U must carry int U = 4 pi (checked); rows are (a, s(a), |s - a|/a),
+    for a >= 0 (checked; a = 0 gives the row of zeros).  The deviation
+    shrinks at least linearly as a decreases.
     """
+    if not all(a >= 0 for a in a_list):
+        raise ValueError(f"Born check needs a >= 0, got {list(a_list)!r}")
     total = volume_integral(shell)
     if abs(total - 4.0 * math.pi) > 1e-10:
         raise ValueError(f"int U = {total!r}, expected 4 pi")

@@ -5,9 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 import rotbec.cli
-import rotbec.scatter
 import rotbec.sweep
 from rotbec.cli import load_config, main
 from rotbec.errors import ConfigError
@@ -128,6 +128,16 @@ _SOFT_SHELL = {"kind": "soft_shell", "r_inner": 0.5, "r_outer": 1.0}
     ("gp-min", {"model": {"dim": 3, "half_width": [6.0, 6.0], "points": [16, 16]}}),
     ("gp-min", {"model": {"dim": 2, "half_width": [6.0, 6.0, 6.0], "points": [16, 16, 16],
                           "trap": {"kind": "harmonic", "nu": 1.0}}}),
+    ("coherent", {"coherent": {"truncation": 100000}}),
+    ("coherent", {"coherent": {"n_max": 100000}}),
+    ("coherent", {"coherent": {"radial_points": 10**12}}),
+    ("coherent", {"coherent": {"angular_points": 10**12}}),
+    ("fock", {"model": _HARMONIC_16, "fock": {"modes": 2, "g": -1.0, "n_values": [2]}}),
+    ("fock", {"model": _HARMONIC_16, "fock": {"modes": 2, "g": 0.0, "n_values": [2],
+                                              "pair": "gaussian"}}),
+    ("fock", {"model": _HARMONIC_16, "fock": {"modes": 2, "g": -1.0, "n_values": [2],
+                                              "pair": "gaussian"}}),
+    ("scatter", {"scatter": {"potential": _SOFT_SHELL, "born_a_values": [-0.1, 0.05]}}),
 ], ids=["trap-not-object", "sampled-file-missing", "hard-sphere-no-radius",
         "soft-shell-empty", "fock-N-1", "fock-M-7", "coherent-D-8", "restarts-not-int",
         "dm-rank-9", "sweep-value-not-number", "scale-negative", "square-well-resonance",
@@ -143,7 +153,10 @@ _SOFT_SHELL = {"kind": "soft_shell", "r_inner": 0.5, "r_outer": 1.0}
         "fock-g-string",
         "coherent-z-strings", "coherent-z-three-entries", "quad-radius-string",
         "potential-radius-string", "scale-string", "scales-null", "born-a-true",
-        "dim-3-two-entry-lists", "dim-2-three-entry-lists"])
+        "dim-3-two-entry-lists", "dim-2-three-entry-lists",
+        "coherent-D-huge", "coherent-n-max-huge", "coherent-radial-huge", "coherent-angular-huge",
+        "fock-g-negative", "fock-gaussian-g-zero", "fock-gaussian-g-negative",
+        "born-a-negative"])
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, subcommand, overrides):
     path = tmp_path / "cfg.json"
     write_config(path, **overrides)
@@ -455,7 +468,7 @@ def test_scatter_outputs(tmp_path):
 
 
 def test_scatter_no_convergence_exit_code(tmp_path, monkeypatch):
-    monkeypatch.setattr(rotbec.scatter, "solve_ivp", stopping_halfway(rotbec.scatter.solve_ivp))
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", stopping_halfway(scipy.integrate.solve_ivp))
     path = tmp_path / "cfg.json"
     write_config(path, scatter={"potential": {"kind": "gaussian", "amplitude": 2.0,
                                               "width": 0.7}})
@@ -472,3 +485,30 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     payload = json.loads((tmp_path / "out" / "scatter.json").read_text())
     assert payload["scattering_length"] == 0.7
+
+
+def _fresh_modules(code):
+    """The module names in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_loads_no_scipy_solver_subpackage():
+    # each solver subpackage is imported by the function that calls it, so
+    # starting rotbec costs numpy and scipy.fft alone
+    loaded = _fresh_modules("import rotbec, rotbec.cli")
+    assert not loaded & {"scipy.sparse", "scipy.optimize", "scipy.integrate"}
+
+
+def test_sweep_point_loads_no_optimize_or_integrate(tmp_path):
+    path = tmp_path / "cfg.json"
+    write_config(path, model={"half_width": 6.0, "points": 16, "g": 2.0},
+                 solver={"tol": 1e-7, "max_iter": 5000, "restarts": 1, "seed": 5},
+                 sweep={"parameter": "g", "values": [2.0]}, dm={"rank": 2})
+    loaded = _fresh_modules(f"from rotbec.cli import main\n"
+                            f"assert main(['sweep', '--config', {str(path)!r}]) == 0")
+    assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 3
+    assert "scipy.sparse.csgraph" in loaded  # the family clustering ran
+    assert not loaded & {"scipy.optimize", "scipy.integrate"}

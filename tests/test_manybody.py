@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rotbec.manybody
 from rotbec.errors import DimensionTooLarge, InvalidState, NoConvergence
 from rotbec.lattice import Field, Grid, blas_threads, normalized
 from rotbec.manybody import (
@@ -142,7 +142,7 @@ def test_exact_ground_states_are_reproducible():
 def test_eigsh_holds_scipy_blas_at_one_thread(monkeypatch, blas_counts, fails):
     before = blas_counts()
     inside = []
-    real = rotbec.manybody.eigsh
+    real = scipy.sparse.linalg.eigsh
 
     def recording(*args, **kwargs):
         inside.append(blas_counts())
@@ -150,7 +150,7 @@ def test_eigsh_holds_scipy_blas_at_one_thread(monkeypatch, blas_counts, fails):
             raise RuntimeError("eigsh fails")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(rotbec.manybody, "eigsh", recording)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
     problem = FockProblem(6, 6, tuple(0.3 * np.arange(6)), random_tensor(6, 4))
     with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
         ground_state_bosonic(problem)
@@ -402,6 +402,15 @@ def test_scan_rejects_bad_particle_numbers(modes3):
             gp_limit_scan(harmonic_spec(), M, 0.5, [2], pair_kind=pair_kind)
 
 
+def test_scan_rejects_bad_couplings():
+    # checked before any mode is computed: an attractive gas, and a Gaussian
+    # pair that cannot be scaled to a = g/N = 0
+    for g, pair_kind in ((-1.0, "delta"), (-1.0, "gaussian"), (0.0, "gaussian"),
+                         (float("nan"), "delta")):
+        with pytest.raises(InvalidState, match="coupling g"):
+            gp_limit_scan(harmonic_spec(), 2, g, [2], pair_kind=pair_kind)
+
+
 def test_coherent_vacuum():
     v = coherent_vector(0.0, 48)
     assert v[0] == 1.0 and np.abs(v[1:]).max() == 0.0
@@ -449,3 +458,14 @@ def test_coherent_preconditions():
     for bad in ({"n_max": -1}, {"radial_points": 0}, {"angular_points": 0}):
         with pytest.raises(ValueError):
             coherent_state_checks(D=64, **bad)
+
+
+@pytest.mark.parametrize("sizes", [
+    {"D": 100_000}, {"n_max": 100_000}, {"radial_points": 10**12},
+    {"n_max": 1000, "radial_points": 10**6, "angular_points": 10**6},
+])
+def test_coherent_sizes_are_capped(sizes):
+    # every one of these would need far more memory than any test machine has;
+    # the check refuses them before the first array
+    with pytest.raises(ValueError, match="at most"):
+        coherent_state_checks(**{"D": 64, **sizes})

@@ -2,6 +2,7 @@ import contextlib
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -441,7 +442,7 @@ def test_every_solver_shares_the_specs_one_h0(monkeypatch):
 def test_lobpcg_holds_scipy_blas_at_one_thread(monkeypatch, blas_counts, fails):
     before = blas_counts()
     inside = []
-    real = rotbec.model.lobpcg
+    real = scipy.sparse.linalg.lobpcg
 
     def recording(*args, **kwargs):
         inside.append(blas_counts())
@@ -449,7 +450,7 @@ def test_lobpcg_holds_scipy_blas_at_one_thread(monkeypatch, blas_counts, fails):
             raise RuntimeError("lobpcg fails")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(rotbec.model, "lobpcg", recording)
+    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", recording)
     spec = ModelSpec(Grid((7.0, 7.0), (32, 32)), HarmonicTrap((1.0, 1.0)), RotationSpec(0.0), 0.0)
     with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
         lowest_eigenpairs(spec, 2)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import scipy.integrate
 
 import rotbec.scatter
 from rotbec.errors import NoConvergence, NonFiniteScatteringLength
@@ -121,6 +122,12 @@ def test_born_check_linear_shrinkage():
     assert zero[0] == (0.0, 0.0, 0.0)
 
 
+def test_born_check_refuses_negative_a():
+    # |s - a|/a would read as a negative relative deviation
+    with pytest.raises(ValueError, match="a >= 0"):
+        born_check(SoftShell(0.5, 1.0), [0.05, -0.1])
+
+
 def test_born_check_requires_normalized_shell():
     shell = SoftShell(0.5, 1.0, amplitude=2.0)
     with pytest.raises(ValueError):
@@ -135,6 +142,6 @@ def test_repulsive_barrier_tanh_form():
 
 
 def test_failed_radial_integration_raises(monkeypatch):
-    monkeypatch.setattr(rotbec.scatter, "solve_ivp", stopping_halfway(rotbec.scatter.solve_ivp))
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", stopping_halfway(scipy.integrate.solve_ivp))
     with pytest.raises(NoConvergence, match="stopped at r"):
         scattering_length(GaussianBump(2.0, 0.7))
