@@ -2,7 +2,8 @@
 
 Import rule: at module level the package imports numpy, scipy.fft and
 scipy.special (which scipy.fft loads anyway); scipy's solver subpackages
-(sparse, optimize, integrate) are imported inside the functions that call them.
+(sparse, optimize, integrate) are imported inside the functions that call them,
+and the GP, DM and sweep paths call none of them.
 """
 
 from .lattice import (

@@ -323,9 +323,16 @@ def cmd_dm_min(cfg, digest, outdir, workers):
 
 
 def _point_model(job):
-    """The model of one (cfg, parameter, value) sweep job."""
+    """The model of one (cfg, parameter, value) sweep job.
+
+    An ``omega_z`` value replaces the last component of the base omega, so a
+    tilted base rotation keeps its in-plane components.
+    """
     cfg, parameter, value = job
-    return build_model({**cfg["model"], "g" if parameter == "g" else "omega": value})
+    if parameter == "g":
+        return build_model({**cfg["model"], "g": value})
+    omega = cfg["model"].get("omega", (0.0,))
+    return build_model({**cfg["model"], "omega": omega[:-1] + (value,)})
 
 
 def sweep_point(job):

@@ -138,14 +138,15 @@ def symmetry_breaking_metric(phi, trap=None):
     return num / den
 
 
+def _unit_density(phi):
+    """|phi|^2 scaled to unit integral."""
+    d = phi.values.real**2 + phi.values.imag**2
+    return d / (np.sum(d) * phi.grid.cell_volume)
+
+
 def density_l1_distance(a, b):
     """L1 distance of normalized densities of two fields on one grid."""
-    da = a.values.real**2 + a.values.imag**2
-    db = b.values.real**2 + b.values.imag**2
-    dV = a.grid.cell_volume
-    da = da / (np.sum(da) * dV)
-    db = db / (np.sum(db) * dV)
-    return float(np.sum(np.abs(da - db))) * dV
+    return float(np.sum(np.abs(_unit_density(a) - _unit_density(b)))) * a.grid.cell_volume
 
 
 def minimizer_family_analysis(results, energy_tol=1e-6, distance_tol=1e-3):
@@ -157,20 +158,23 @@ def minimizer_family_analysis(results, energy_tol=1e-6, distance_tol=1e-3):
     """
     if not results:
         return SymmetryReport(0, [])
-    from scipy.sparse.csgraph import connected_components
-
     best = min(r.energy for r in results)
     members = [r for r in results if r.energy <= best + energy_tol]
     n = len(members)
-    dist = np.zeros((n, n))
+    dens = [_unit_density(r.phi) for r in members]
+    dV = members[0].phi.grid.cell_volume
+    close = np.eye(n, dtype=bool)
     pairwise = []
     for i in range(n):
         for j in range(i + 1, n):
-            d = density_l1_distance(members[i].phi, members[j].phi)
-            dist[i, j] = dist[j, i] = d
+            d = float(np.sum(np.abs(dens[i] - dens[j]))) * dV
+            close[i, j] = close[j, i] = d <= distance_tol
             pairwise.append(d)
-    # single-linkage clusters: components of the graph of close pairs
-    n_clusters = int(connected_components(dist <= distance_tol, directed=False)[0])
+    # single linkage: squaring the reflexive relation doubles the path length
+    # it spans, so after bit_length(n) squarings each row is its cluster
+    for _ in range(n.bit_length()):
+        close = close @ close
+    n_clusters = len(np.unique(close, axis=0))
     return SymmetryReport(n_distinct_minimizers=n_clusters, pairwise_density_distances=pairwise)
 
 

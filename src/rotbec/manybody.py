@@ -24,9 +24,9 @@ _BASIS_CAP = 100_000
 _PRODUCT_CAP = 10_000  # largest M^N for the unrestricted ground state
 _DENSE_MAX = 400  # largest eigenproblem solved densely
 _RESIDUAL_TOL = 1e-8
-# coherent_state_checks: the largest truncation D and span n_max + 1 (a D = 4096
-# check holds three 268 MB D x D matrices), and the largest quadrature array,
-# (n_max + 1) x radial_points x angular_points entries (about 48 bytes each at peak)
+# coherent_state_checks: the largest truncation D (it sizes vectors only) and span
+# n_max + 1 (the quadrature forms (n_max + 1)^2 matrices), and the largest quadrature
+# array, (n_max + 1) x radial_points x angular_points entries (about 48 bytes each at peak)
 _FOCK_DIM_CAP = 4096
 _QUADRATURE_CAP = 1 << 22
 
@@ -214,7 +214,6 @@ def ground_state_absolute(problem):
     from scipy.sparse.linalg import LinearOperator
 
     e = np.asarray(problem.e)
-    V = problem.W.reshape(M * M, M * M)
     pairs = list(itertools.combinations(range(N), 2))
 
     def matvec(v):
@@ -225,14 +224,8 @@ def ground_state_absolute(problem):
             shape[axis] = M
             out += e.reshape(shape) * t
         for (p, q) in pairs:
-            moved = np.moveaxis(t, (p, q), (0, 1)).reshape(M * M, -1)
-            acted = V @ moved
-            out += np.moveaxis(
-                acted.reshape((M, M) + tuple(
-                    s for a, s in enumerate(t.shape) if a not in (p, q)
-                )),
-                (0, 1), (p, q),
-            )
+            acted = np.tensordot(problem.W, t, axes=((2, 3), (p, q)))
+            out += np.moveaxis(acted, (0, 1), (p, q))
         return out.reshape(-1)
 
     return _lowest_eigenpair(LinearOperator((dim, dim), matvec=matvec, dtype=complex))[0]
@@ -511,8 +504,9 @@ def gp_limit_scan(spec, M, g, N_list, pair_kind="delta", with_absolute=False,
     unit-scattering-length Gaussian.  The gas is repulsive: g >= 0, and
     g > 0 for the Gaussian, whose scaled potential needs a = g/N > 0.
     """
-    if not 1 <= M <= 6 or any(N < 2 or N > 10 for N in N_list):
-        raise InvalidState("the mode count must lie in [1, 6] and N values in [2, 10]")
+    if not 1 <= M <= 6 or not N_list or any(N < 2 or N > 10 for N in N_list):
+        raise InvalidState("the mode count must lie in [1, 6] and the N values, "
+                           "at least one, in [2, 10]")
     if pair_kind not in ("delta", "gaussian"):
         raise InvalidState(f"pair kind must be 'delta' or 'gaussian', got {pair_kind!r}")
     if not g >= 0:
@@ -607,10 +601,10 @@ def coherent_state_checks(D=64, z=1 + 1j, Z=8.0, n_max=8,
     if (n_max + 1) * radial_points * angular_points > _QUADRATURE_CAP:
         raise ValueError(f"(n_max + 1) x radial_points x angular_points must be at most "
                          f"{_QUADRATURE_CAP}")
-    a_mat = annihilation_matrix(D)
     v = coherent_vector(z, D)
-    lower_a = np.vdot(v, a_mat @ v)
-    lower_n = np.vdot(v, (a_mat.conj().T @ a_mat) @ v)
+    root = np.sqrt(np.arange(1, D))  # a|n> = sqrt(n)|n-1>, a+a|n> = n|n>
+    lower_a = np.vdot(v, np.append(root * v[1:], 0.0))
+    lower_n = np.vdot(v, np.append(0.0, root * root) * v)
     # polar quadrature: midpoint radially, uniform angles (exact for the
     # angular integral of the finitely many modes involved)
     dr = Z / radial_points

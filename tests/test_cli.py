@@ -138,6 +138,7 @@ _SOFT_SHELL = {"kind": "soft_shell", "r_inner": 0.5, "r_outer": 1.0}
     ("fock", {"model": _HARMONIC_16, "fock": {"modes": 2, "g": -1.0, "n_values": [2],
                                               "pair": "gaussian"}}),
     ("scatter", {"scatter": {"potential": _SOFT_SHELL, "born_a_values": [-0.1, 0.05]}}),
+    ("fock", {"model": _HARMONIC_16, "fock": {"modes": 2, "n_values": []}}),
 ], ids=["trap-not-object", "sampled-file-missing", "hard-sphere-no-radius",
         "soft-shell-empty", "fock-N-1", "fock-M-7", "coherent-D-8", "restarts-not-int",
         "dm-rank-9", "sweep-value-not-number", "scale-negative", "square-well-resonance",
@@ -156,7 +157,7 @@ _SOFT_SHELL = {"kind": "soft_shell", "r_inner": 0.5, "r_outer": 1.0}
         "dim-3-two-entry-lists", "dim-2-three-entry-lists",
         "coherent-D-huge", "coherent-n-max-huge", "coherent-radial-huge", "coherent-angular-huge",
         "fock-g-negative", "fock-gaussian-g-zero", "fock-gaussian-g-negative",
-        "born-a-negative"])
+        "born-a-negative", "fock-n-values-empty"])
 def test_bad_value_exits_2_with_one_line(tmp_path, capsys, subcommand, overrides):
     path = tmp_path / "cfg.json"
     write_config(path, **overrides)
@@ -509,6 +510,30 @@ def test_sweep_point_loads_no_optimize_or_integrate(tmp_path):
                  sweep={"parameter": "g", "values": [2.0]}, dm={"rank": 2})
     loaded = _fresh_modules(f"from rotbec.cli import main\n"
                             f"assert main(['sweep', '--config', {str(path)!r}]) == 0")
-    assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 3
-    assert "scipy.sparse.csgraph" in loaded  # the family clustering ran
-    assert not loaded & {"scipy.optimize", "scipy.integrate"}
+    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert int(row["n_clusters"]) >= 1  # the family clustering ran
+    assert not loaded & {"scipy.sparse", "scipy.linalg", "scipy.optimize", "scipy.integrate"}
+
+
+def test_omega_z_sweep_keeps_a_tilted_base_rotation(tmp_path, monkeypatch):
+    # the swept value replaces the z component only; a tilted model is not
+    # axisymmetric, so its row has no s metric
+    rotations = []
+
+    def recording_solve_point(spec, *args, **kwargs):
+        rotations.append(spec.rotation.omega)
+        return rotbec.sweep.solve_point(spec, *args, **kwargs)
+
+    monkeypatch.setattr(rotbec.cli, "solve_point", recording_solve_point)
+    path = tmp_path / "cfg.json"
+    write_config(path, model={"dim": 3, "half_width": 6.0, "points": 16,
+                              "trap": {"kind": "harmonic", "nu": [1.0, 1.0, 1.0]},
+                              "omega": [0.3, 0.0, 0.5], "g": 2.0},
+                 solver={"tol": 1e-7, "max_iter": 5000, "restarts": 0, "seed": 5},
+                 sweep={"parameter": "omega_z", "values": [0.5]}, dm={"rank": 2})
+    assert main(["sweep", "--config", str(path), "--workers", "1"]) == 0
+    assert rotations == [(0.3, 0.0, 0.5)]
+    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert dict(zip(lines[1].split(","), lines[2].split(",")))["s_metric"] == ""

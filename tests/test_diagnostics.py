@@ -168,6 +168,24 @@ def test_family_analysis_clusters():
     assert type(report.n_distinct_minimizers) is int
 
 
+@pytest.mark.parametrize("order", [(0, 1, 2, 3, 4, 5, 6, 7), (7, 3, 5, 0, 6, 2, 4, 1)])
+def test_family_analysis_single_linkage_through_chains(order):
+    class Fake:
+        def __init__(self, phi):
+            self.phi = phi
+            self.energy = 1.0
+
+    # neighbours 6e-4 apart are within the tolerance, next-but-one ones are
+    # not: a chain of six is one cluster, a pair far from it another
+    chain = [seeded(1, x0=6e-4 * k) for k in range(6)]
+    pair = [seeded(1, x0=3.0), seeded(1, x0=3.0 + 6e-4)]
+    assert density_l1_distance(chain[0], chain[2]) > 1e-3
+    fields = chain + pair
+    report = minimizer_family_analysis([Fake(fields[k]) for k in order], distance_tol=1e-3)
+    assert report.n_distinct_minimizers == 2
+    assert len(report.pairwise_density_distances) == 28
+
+
 def test_family_analysis_scoping_by_energy():
     class Fake:
         def __init__(self, phi, energy):

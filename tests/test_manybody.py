@@ -396,10 +396,11 @@ def test_scan_trend_and_condensation(modes3):
 def test_scan_rejects_bad_particle_numbers(modes3):
     with pytest.raises(InvalidState):
         gp_limit_scan(harmonic_spec(), 3, 0.5, [1], modes=modes3)
-    # mode count and pair kind are checked before any mode is computed
-    for M, pair_kind in ((0, "delta"), (7, "delta"), (3, "dipole")):
+    # mode count, N values and pair kind are checked before any mode is computed
+    for M, N_list, pair_kind in ((0, [2], "delta"), (7, [2], "delta"), (3, [], "delta"),
+                                 (3, [2], "dipole")):
         with pytest.raises(InvalidState):
-            gp_limit_scan(harmonic_spec(), M, 0.5, [2], pair_kind=pair_kind)
+            gp_limit_scan(harmonic_spec(), M, 0.5, N_list, pair_kind=pair_kind)
 
 
 def test_scan_rejects_bad_couplings():
@@ -416,6 +417,16 @@ def test_coherent_vacuum():
     assert v[0] == 1.0 and np.abs(v[1:]).max() == 0.0
     a = annihilation_matrix(48)
     assert abs(np.vdot(v, a @ v)) == 0.0
+
+
+@pytest.mark.parametrize("D, z", [(32, 1 + 1j), (48, 0.5 - 1j), (64, 0.0), (64, 3.3),
+                                  (2048, 40.0 * np.exp(0.3j))])
+def test_coherent_moments_equal_the_dense_operator_forms(D, z):
+    a = annihilation_matrix(D)
+    v = coherent_vector(z, D)
+    report = coherent_state_checks(D=D, z=z, Z=max(8.0, 4.0 * abs(z)), n_max=2)
+    assert report.annihilation_error == abs(np.vdot(v, a @ v) - z)
+    assert report.number_error == abs(np.vdot(v, (a.conj().T @ a) @ v) - abs(z) ** 2)
 
 
 def test_coherent_vector_large_amplitude_matches_log_factorials():
